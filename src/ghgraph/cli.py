@@ -44,7 +44,6 @@ from .errors import (
     GhGraphError,
     GuardExceeded,
     ParseError,
-    ValidationError,
 )
 from .graph import (
     EdgeIntervalSet,
@@ -521,9 +520,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConstructionVerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except GhGraphError as exc:  # any remaining library error counts as validation
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     DisconnectedGraph,
@@ -87,12 +87,13 @@ class Edge:
 
 
 class MetricGraph:
-    """A compact connected metric graph with precomputed vertex distances.
+    """A compact connected metric graph.
 
     Instances are built through :func:`build_graph`, which validates the
-    input and runs single-source shortest paths from every vertex. The
-    resulting matrix backs all point-distance queries, so queries never
-    re-run a graph search.
+    input and keeps the sparse vertex skeleton that distance searches run
+    on. The dense vertex-to-vertex matrix ``vertex_distances`` is built on
+    first use and cached; only point-pair queries and the continuum
+    diameter read it.
     """
 
     __slots__ = (
@@ -100,7 +101,8 @@ class MetricGraph:
         "edges",
         "vertex_index",
         "edge_index",
-        "vertex_distances",
+        "_skeleton",
+        "_vertex_distances",
         "_degree",
         "_incident",
     )
@@ -109,13 +111,14 @@ class MetricGraph:
         self,
         vertices: tuple[str, ...],
         edges: tuple[Edge, ...],
-        vertex_distances: np.ndarray,
+        skeleton: csr_matrix,
     ):
         self.vertices = vertices
         self.edges = edges
         self.vertex_index = {v: i for i, v in enumerate(vertices)}
         self.edge_index = {e.id: i for i, e in enumerate(edges)}
-        self.vertex_distances = vertex_distances
+        self._skeleton = skeleton
+        self._vertex_distances: np.ndarray | None = None
         degree = {v: 0 for v in vertices}
         incident: dict[str, list[Edge]] = {v: [] for v in vertices}
         for e in edges:
@@ -127,6 +130,13 @@ class MetricGraph:
                 incident[e.v].append(e)
         self._degree = degree
         self._incident = incident
+
+    @property
+    def vertex_distances(self) -> np.ndarray:
+        """All-pairs vertex distances, computed on first access."""
+        if self._vertex_distances is None:
+            self._vertex_distances = dijkstra(self._skeleton, directed=True)
+        return self._vertex_distances
 
     # -- simple accessors ---------------------------------------------------
 
@@ -185,22 +195,22 @@ def build_graph(
             raise NonPositiveEdgeLength(f"edge {eid!r} has length {length}")
         built.append(Edge(eid, u, v, length))
 
-    n = len(vs)
     # Self-loops never shorten vertex-to-vertex paths; between distinct
-    # vertices only the shortest parallel edge matters for the matrix.
-    weight = np.zeros((n, n))
+    # vertices only the shortest parallel edge matters. Each pair is stored
+    # once per direction, so searches run directed and never transpose, and
+    # strong connectivity is plain connectivity.
+    nbrs: list[dict[int, float]] = [{} for _ in vs]
     for e in built:
         i, j = vindex[e.u], vindex[e.v]
-        if i == j:
-            continue
-        if weight[i, j] == 0.0 or e.length < weight[i, j]:
-            weight[i, j] = e.length
-            weight[j, i] = e.length
-    dist = shortest_path(csr_matrix(weight), method="D", directed=False)
-    if np.isinf(dist).any():
+        if i != j and e.length < nbrs[i].get(j, np.inf):
+            nbrs[i][j] = nbrs[j][i] = e.length
+    indptr = np.cumsum([0] + [len(row) for row in nbrs])
+    indices = [j for row in nbrs for j in row]
+    data = [w for row in nbrs for w in row.values()]
+    skeleton = csr_matrix((data, indices, indptr), shape=(len(vs),) * 2)
+    if connected_components(skeleton, connection="strong", return_labels=False) > 1:
         raise DisconnectedGraph("graph is not connected")
-    np.fill_diagonal(dist, 0.0)
-    return MetricGraph(vs, tuple(built), dist)
+    return MetricGraph(vs, tuple(built), skeleton)
 
 
 # --------------------------------------------------------------------------
@@ -322,43 +332,19 @@ def _validate_point(G: MetricGraph, p: GraphPoint) -> GraphPoint:
 
 
 def _fields(G: MetricGraph, pts: Sequence[GraphPoint]):
-    k = len(pts)
-    eidx = np.full(k, -1, dtype=np.int64)
-    a_idx = np.empty(k, dtype=np.int64)
-    b_idx = np.empty(k, dtype=np.int64)
-    off_a = np.zeros(k)
-    off_b = np.zeros(k)
-    for i, p in enumerate(pts):
+    """Edge index (-1 for a vertex), anchors a and b, offsets to a and to b."""
+    rows = []
+    for p in pts:
         if p.vertex is not None:
             w = G.vertex_index[p.vertex]
-            a_idx[i] = w
-            b_idx[i] = w
+            rows.append((-1, w, w, 0.0, 0.0))
         else:
             e = G.edge(p.edge)  # raises on unknown edge
-            eidx[i] = G.edge_index[p.edge]
-            a_idx[i] = G.vertex_index[e.u]
-            b_idx[i] = G.vertex_index[e.v]
-            off_a[i] = p.offset
-            off_b[i] = e.length - p.offset
-    return eidx, a_idx, b_idx, off_a, off_b
-
-
-def _chunk_matrix(G, fa, fb, rows) -> np.ndarray:
-    """Distance matrix between rows ``rows`` of field set ``fa`` and all of ``fb``."""
-    D = G.vertex_distances
-    ea, aa, ba, oa, ob = fa
-    eb, ab, bb, pa, pb = fb
-    ea, aa, ba = ea[rows], aa[rows], ba[rows]
-    oa, ob = oa[rows][:, None], ob[rows][:, None]
-    out = oa + D[aa[:, None], ab[None, :]] + pa[None, :]
-    np.minimum(out, oa + D[aa[:, None], bb[None, :]] + pb[None, :], out=out)
-    np.minimum(out, ob + D[ba[:, None], ab[None, :]] + pa[None, :], out=out)
-    np.minimum(out, ob + D[ba[:, None], bb[None, :]] + pb[None, :], out=out)
-    shared = (ea[:, None] == eb[None, :]) & (ea[:, None] >= 0)
-    if shared.any():
-        direct = np.abs(oa - pa[None, :])
-        out = np.where(shared, np.minimum(out, direct), out)
-    return out
+            u, v = G.vertex_index[e.u], G.vertex_index[e.v]
+            rows.append((G.edge_index[p.edge], u, v, p.offset, e.length - p.offset))
+    table = np.array(rows, dtype=float).reshape(-1, 5)
+    idx = table[:, :3].astype(np.int64)
+    return idx[:, 0], idx[:, 1], idx[:, 2], table[:, 3], table[:, 4]
 
 
 def pairwise_distances(
@@ -367,49 +353,81 @@ def pairwise_distances(
     B: Sequence[GraphPoint] | PointSet,
 ) -> np.ndarray:
     """Full |A| x |B| matrix of geodesic distances."""
-    pa = list(A)
-    pb = list(B)
+    pa, pb = list(A), list(B)
     if not pa or not pb:
         raise EmptySet("distance against an empty point collection")
-    fa = _fields(G, pa)
-    fb = _fields(G, pb)
-    return _chunk_matrix(G, fa, fb, np.arange(len(pa)))
+    D = G.vertex_distances
+    ea, aa, ba, oa, ob = _fields(G, pa)
+    eb, ab, bb, qa, qb = _fields(G, pb)
+    oa, ob = oa[:, None], ob[:, None]
+    out = oa + D[aa[:, None], ab[None, :]] + qa[None, :]
+    np.minimum(out, oa + D[aa[:, None], bb[None, :]] + qb[None, :], out=out)
+    np.minimum(out, ob + D[ba[:, None], ab[None, :]] + qa[None, :], out=out)
+    np.minimum(out, ob + D[ba[:, None], bb[None, :]] + qb[None, :], out=out)
+    shared = (ea[:, None] == eb[None, :]) & (ea[:, None] >= 0)
+    if shared.any():
+        out = np.where(shared, np.minimum(out, np.abs(oa - qa[None, :])), out)
+    return out
 
 
 def point_distance(G: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
     """Geodesic distance between two points."""
-    p = _validate_point(G, p)
-    q = _validate_point(G, q)
-    D = G.vertex_distances
-    vi = G.vertex_index
-    if p.vertex is not None and q.vertex is not None:
-        return float(D[vi[p.vertex], vi[q.vertex]])
+    pq = pairwise_distances(G, [_validate_point(G, p)], [_validate_point(G, q)])
+    return float(pq[0, 0])
 
-    def anchors(pt: GraphPoint) -> tuple[int, int, float, float]:
-        if pt.vertex is not None:
-            w = vi[pt.vertex]
-            return w, w, 0.0, 0.0
-        e = G.edge(pt.edge)
-        return vi[e.u], vi[e.v], pt.offset, e.length - pt.offset
 
-    a1, b1, s1, t1 = anchors(p)
-    a2, b2, s2, t2 = anchors(q)
-    best = min(
-        s1 + D[a1, a2] + s2,
-        s1 + D[a1, b2] + t2,
-        t1 + D[b1, a2] + s2,
-        t1 + D[b1, b2] + t2,
-    )
-    if p.edge is not None and p.edge == q.edge:
-        best = min(best, abs(p.offset - q.offset))
-    return float(best)
+# A whole set A is reached through its distance field d(w, A) over the
+# vertices w, from one multi-source Dijkstra. The interior members of A
+# share one virtual source row, linked one way to each endpoint x of their
+# edges with the shortest walk along those edges from A to x (the shorter
+# arc on a self-loop), so no pair is stored twice and the row is never a
+# transit node. Vertex members are sources themselves; no link weighs zero.
+# A point at offset s on e = (u, v, l) then has
+#   d(s, A) = min( s + d(u, A),  (l - s) + d(v, A),  min_t |s - t| )
+# over A's offsets t on e: a geodesic leaves e at an endpoint or stays on e.
+
+
+def _distance_field(G: MetricGraph, fa) -> np.ndarray:
+    """d(w, A) for every vertex w, where ``fa`` holds the ``_fields`` of A."""
+    _, a_idx, b_idx, off_a, off_b = fa
+    n, S = len(G.vertices), G._skeleton
+    walk = np.full(n, np.inf)
+    np.minimum.at(walk, a_idx, off_a)
+    np.minimum.at(walk, b_idx, off_b)
+    ends = np.flatnonzero((walk > 0.0) & (walk < np.inf))
+    data = np.concatenate([S.data, walk[ends]])
+    indices = np.concatenate([S.indices, ends])
+    M = csr_matrix((data, indices, np.append(S.indptr, len(data))), shape=(n + 1, n + 1))
+    sources = np.append(np.flatnonzero(walk == 0.0), n)
+    return dijkstra(M, directed=True, indices=sources, min_only=True)[:n]
+
+
+def _same_edge_gap(qe, qs, pe, pt) -> np.ndarray:
+    """min |s - t| over the points (pe, pt) on each query's own edge, inf if
+    none; edge index -1 marks a vertex. Complex keys sort by edge, then
+    offset, so one search finds each query's two neighbours."""
+    keys = np.sort(pe[pe >= 0] + 1j * pt[pe >= 0])
+    gap = np.full(len(qe), np.inf)
+    if keys.size:
+        r = np.searchsorted(keys, qe + 1j * qs)
+        for nb in (keys[np.maximum(r - 1, 0)], keys[np.minimum(r, keys.size - 1)]):
+            gap = np.where(nb.real == qe, np.minimum(gap, np.abs(qs - nb.imag)), gap)
+    return gap
+
+
+def _set_distances(G: MetricGraph, fp, fa) -> np.ndarray:
+    """d(p, A) for every point p, with p and A given as ``_fields``."""
+    field = _distance_field(G, fa)
+    ep, ap, bp, sp, tp = fp
+    out = np.minimum(sp + field[ap], tp + field[bp])
+    return np.minimum(out, _same_edge_gap(ep, sp, fa[0], fa[3]))
 
 
 def distance_to_set(G: MetricGraph, p: GraphPoint, A: PointSet) -> float:
     """Distance from a point to the nearest member of a non-empty point set."""
     if len(A) == 0:
         raise EmptySet("distance to an empty point set")
-    return float(pairwise_distances(G, [p], A).min())
+    return float(_set_distances(G, _fields(G, [p]), _fields(G, A))[0])
 
 
 def set_diameter(G: MetricGraph, A: PointSet) -> float:
@@ -742,11 +760,8 @@ def thickening(G: MetricGraph, A: PointSet, r: float) -> EdgeIntervalSet:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
     if len(A) == 0:
         raise EmptySet("thickening of an empty point set")
-    all_vertices = [GraphPoint(vertex=v) for v in G.vertices]
-    vdist = pairwise_distances(G, all_vertices, A).min(axis=1)
-    vertices = frozenset(
-        v for v, d in zip(G.vertices, vdist) if d < r
-    )
+    vdist = _distance_field(G, _fields(G, A))
+    vertices = frozenset(v for v, d in zip(G.vertices, vdist) if d < r)
     on_edge: dict[str, list[float]] = {}
     for p in A:
         if p.edge is not None:

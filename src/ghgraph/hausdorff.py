@@ -1,19 +1,19 @@
 """Hausdorff distances between subsets of a metric graph, computed exactly.
 
-Finite-to-finite distances are vectorized pair scans. Distances from the
-whole graph (or from a region given by edge intervals) are suprema of
-continuum quantities: on each edge the distance to a finite source set is
-a lower envelope of functions that are affine with slopes +1 or -1, so
-the supremum sits at an endpoint or where an ascending piece crosses a
-descending one. Those crossings form a small closed-form candidate set,
-which is evaluated exactly; nothing is sampled.
+Every distance to a finite set starts from its distance field, the
+distance from each vertex to the set, given by one multi-source graph
+search; a point then leaves its edge through an endpoint or reaches the
+set along the edge. Distances from the whole graph (or from a region given
+by edge intervals) are suprema over the continuum: on each edge the
+distance to a finite source set is a lower envelope of functions that are
+affine with slopes +1 or -1, so the supremum sits at an endpoint or where
+an ascending piece crosses a descending one. Those crossings form a small
+closed-form candidate set, which is evaluated exactly; nothing is sampled.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-
-import numpy as np
 
 from .errors import EmptyRegion, EmptySet
 from .graph import (
@@ -21,11 +21,11 @@ from .graph import (
     GraphPoint,
     MetricGraph,
     PointSet,
-    _chunk_matrix,
+    _distance_field,
     _fields,
+    _set_distances,
     boundary,
     edge_point,
-    pairwise_distances,
 )
 
 __all__ = [
@@ -36,46 +36,32 @@ __all__ = [
     "directed_hausdorff_boundary",
 ]
 
-_CHUNK = 1024
 
-
-def _directed_both(G: MetricGraph, A: PointSet, B: PointSet) -> tuple[float, float]:
-    """(sup_a d(a,B), sup_b d(b,A)) in one streamed pass over the pair matrix."""
-    pa, pb = list(A), list(B)
-    if not pa or not pb:
+def _fields_of_both(G: MetricGraph, A: PointSet, B: PointSet):
+    if len(A) == 0 or len(B) == 0:
         raise EmptySet("Hausdorff distance against an empty point set")
-    fa = _fields(G, pa)
-    fb = _fields(G, pb)
-    a_to_b = 0.0
-    col_min = np.full(len(pb), np.inf)
-    for start in range(0, len(pa), _CHUNK):
-        rows = np.arange(start, min(start + _CHUNK, len(pa)))
-        block = _chunk_matrix(G, fa, fb, rows)
-        a_to_b = max(a_to_b, float(block.min(axis=1).max()))
-        np.minimum(col_min, block.min(axis=0), out=col_min)
-    return a_to_b, float(col_min.max())
+    return _fields(G, A), _fields(G, B)
 
 
 def directed_hausdorff_sets(G: MetricGraph, A: PointSet, B: PointSet) -> float:
     """sup over a in A of the distance from a to the nearest point of B."""
-    return _directed_both(G, A, B)[0]
+    fa, fb = _fields_of_both(G, A, B)
+    return float(_set_distances(G, fa, fb).max())
 
 
 def hausdorff_sets(G: MetricGraph, A: PointSet, B: PointSet) -> float:
     """Symmetric Hausdorff distance: the larger of the two directed values."""
-    d_ab, d_ba = _directed_both(G, A, B)
-    return max(d_ab, d_ba)
+    fa, fb = _fields_of_both(G, A, B)
+    return float(max(_set_distances(G, fa, fb).max(), _set_distances(G, fb, fa).max()))
 
 
 # --------------------------------------------------------------------------
 # distances from the continuum
 
-# For a point at offset s on edge e = (u, v, l) and a finite source set A,
-#   d(s, A) = min( s + d(u, A),  (l - s) + d(v, A),  min_t |s - t| )
-# with t ranging over source offsets on e itself: any geodesic either exits
-# through an endpoint (reaching the set optimally from there) or stays
-# inside the edge. The candidate maxima are crossings between the ascending
-# pieces {s + d(u,A), s - t} and the descending ones {(l-s) + d(v,A), t - s}.
+# On an edge e = (u, v, l), d(s, A) is the lower envelope given above
+# _distance_field in graph.py. Its candidate maxima are crossings between
+# the ascending pieces {s + d(u,A), s - t} and the descending ones
+# {(l-s) + d(v,A), t - s}, with t over the offsets of A on e.
 
 
 def _edge_envelope_max(
@@ -124,8 +110,7 @@ def _sup_distance_to_sources(
     sources: PointSet,
     excluded_by_edge: dict[str, list[tuple[float, float]]] | None = None,
 ) -> float:
-    all_vertices = [GraphPoint(vertex=v) for v in G.vertices]
-    vdist = pairwise_distances(G, all_vertices, sources).min(axis=1)
+    vdist = _distance_field(G, _fields(G, sources))
     if not G.edges:
         return float(vdist.max())
     on_edge: dict[str, list[float]] = {}
@@ -181,5 +166,5 @@ def directed_hausdorff_boundary(G: MetricGraph, A: PointSet) -> float:
     leaves = boundary(G)
     if not leaves:
         return 0.0
-    leaf_points = [GraphPoint(vertex=v) for v in leaves]
-    return float(pairwise_distances(G, leaf_points, A).min(axis=1).max())
+    field = _distance_field(G, _fields(G, A))
+    return float(field[[G.vertex_index[v] for v in leaves]].max())

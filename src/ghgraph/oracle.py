@@ -31,7 +31,28 @@ __all__ = [
 ]
 
 _VALIDATION_TOL = 1e-9
-_FULL_TRIANGLE_LIMIT = 256
+# cells per block of the triangle scan, about 16 MB of float64
+_TRIANGLE_BLOCK_CELLS = 1 << 21
+
+
+def _checked_axioms(d) -> np.ndarray:
+    """A read-only copy of ``d`` after every check but the triangle scan."""
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
+        raise InvalidMetric("distance matrix must be square and non-empty")
+    if not np.isfinite(d).all():
+        raise InvalidMetric("distance matrix has non-finite entries")
+    if np.abs(np.diag(d)).max() > _VALIDATION_TOL:
+        raise InvalidMetric("diagonal must be zero")
+    if d.shape[0] > 1:
+        if np.abs(d - d.T).max() > _VALIDATION_TOL:
+            raise InvalidMetric("matrix must be symmetric")
+        off = d[~np.eye(d.shape[0], dtype=bool)]
+        if off.min() <= 0.0:
+            raise InvalidMetric("off-diagonal distances must be positive")
+    d = d.copy()
+    d.flags.writeable = False
+    return d
 
 
 class FiniteMetricSpace:
@@ -39,39 +60,34 @@ class FiniteMetricSpace:
 
     Construction validates the metric axioms: square shape, zero diagonal,
     symmetry, strictly positive off-diagonal entries, and the triangle
-    inequality, all within a fixed tolerance. The cubic triangle scan runs
-    in full up to 256 points; beyond that it checks a deterministic strided
-    subset of middle points, which keeps construction quadratic.
+    inequality through every middle point, all within a fixed tolerance.
+    The cubic triangle scan runs over blocks of middle points, so its work
+    arrays stay near 16 MB, or one n x n slab for the largest matrices.
     """
 
     __slots__ = ("d",)
 
     def __init__(self, d: np.ndarray | Sequence[Sequence[float]]):
-        d = np.asarray(d, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1] or d.shape[0] == 0:
-            raise InvalidMetric("distance matrix must be square and non-empty")
-        if not np.isfinite(d).all():
-            raise InvalidMetric("distance matrix has non-finite entries")
-        if np.abs(np.diag(d)).max() > _VALIDATION_TOL:
-            raise InvalidMetric("diagonal must be zero")
-        if d.shape[0] > 1:
-            if np.abs(d - d.T).max() > _VALIDATION_TOL:
-                raise InvalidMetric("matrix must be symmetric")
-            off = d[~np.eye(d.shape[0], dtype=bool)]
-            if off.min() <= 0.0:
-                raise InvalidMetric("off-diagonal distances must be positive")
+        d = _checked_axioms(d)
         n = d.shape[0]
-        if n <= _FULL_TRIANGLE_LIMIT:
-            anchors = range(n)
-        else:
-            # quadratic-time spot check through ~64 strided middle points
-            anchors = range(0, n, max(1, -(-n // 64)))
-        for k in anchors:
-            if (d[:, None, k] + d[None, k, :] + _VALIDATION_TOL < d).any():
-                raise InvalidMetric(f"triangle inequality fails through point {k}")
-        d = d.copy()
-        d.flags.writeable = False
+        step = max(1, _TRIANGLE_BLOCK_CELLS // (n * n))
+        for start in range(0, n, step):
+            ks = slice(start, start + step)
+            bad = d[:, ks, None] + d[None, ks, :] + _VALIDATION_TOL < d[:, None, :]
+            through = np.flatnonzero(bad.any(axis=(0, 2)))
+            if through.size:
+                raise InvalidMetric(
+                    f"triangle inequality fails through point {start + through[0]}"
+                )
         self.d = d
+
+    @classmethod
+    def _trusted(cls, d: np.ndarray) -> "FiniteMetricSpace":
+        """A space whose matrix is a metric by construction, such as a graph
+        metric restricted to a point set: only the triangle scan is skipped."""
+        space = cls.__new__(cls)
+        space.d = _checked_axioms(d)
+        return space
 
     @property
     def n(self) -> int:
@@ -312,7 +328,7 @@ def restrict_metric(G: MetricGraph, A: PointSet) -> FiniteMetricSpace:
     d = pairwise_distances(G, A, A)
     d = np.minimum(d, d.T)  # exact symmetry
     np.fill_diagonal(d, 0.0)
-    return FiniteMetricSpace(d)
+    return FiniteMetricSpace._trusted(d)
 
 
 # --------------------------------------------------------------------------

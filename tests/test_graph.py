@@ -32,6 +32,9 @@ def test_build_graph_rejects_disconnected():
             ["a", "b", "c", "d"],
             [("e1", "a", "b", 1.0), ("e2", "c", "d", 1.0)],
         )
+    # a self-loop joins its basepoint to nothing else
+    with pytest.raises(gg.DisconnectedGraph):
+        gg.build_graph(["a", "b"], [("loop", "b", "b", 1.0)])
 
 
 def test_build_graph_rejects_duplicates_and_empty():

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghgraph as gg
+from ghgraph import graph as graph_mod
+from ghgraph import hausdorff as hausdorff_mod
 
 TAU = 1e-9
 
@@ -204,3 +207,94 @@ def test_graph_to_set_dominates_set_to_set(offs):
     assert gg.directed_hausdorff_sets(G, whole, X) <= (
         gg.hausdorff_graph_to_set(G, X) + TAU
     )
+
+
+# --------------------------------------------------------------------------
+# distance fields against the dense all-pairs kernel
+
+
+@st.composite
+def _multigraph_with_sets(draw):
+    # a random spanning tree plus extra edges with free endpoints, so
+    # self-loops and parallel edges occur; points mix vertices, interior
+    # points, and points on the edges (self-loops included) of each other
+    n = draw(st.integers(1, 4))
+    length = st.floats(0.25, 3.0)
+    edges = [(f"t{i}", f"v{draw(st.integers(0, i - 1))}", f"v{i}", draw(length)) for i in range(1, n)]
+    for i in range(draw(st.integers(1 if n == 1 else 0, 4))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edges.append((f"x{i}", f"v{u}", f"v{v}", draw(length)))
+    G = gg.build_graph([f"v{i}" for i in range(n)], edges)
+    point = st.one_of(
+        st.builds(lambda v: f"v{v}", st.integers(0, n - 1)),
+        st.tuples(st.integers(0, len(edges) - 1), st.floats(0.01, 0.99)).map(
+            lambda p: (edges[p[0]][0], p[1] * edges[p[0]][3])
+        ),
+    )
+    A = gg.point_set(G, draw(st.lists(point, min_size=1, max_size=5)))
+    B = gg.point_set(G, draw(st.lists(point, min_size=1, max_size=5)))
+    return G, A, B
+
+
+def _dense_field(G, fa):
+    # d(w, A) read off the all-pairs matrix: the vertex rows of the dense kernel
+    _, a_idx, b_idx, off_a, off_b = fa
+    D = G.vertex_distances
+    return np.minimum(D[:, a_idx] + off_a, D[:, b_idx] + off_b).min(axis=1)
+
+
+def _set_queries(G, A, B):
+    W = gg.thickening(G, A, 0.3)
+    return [
+        gg.hausdorff_sets(G, A, B),
+        gg.directed_hausdorff_sets(G, A, B),
+        gg.hausdorff_graph_to_set(G, A),
+        gg.hausdorff_graph_to_region(G, W),
+        gg.directed_hausdorff_boundary(G, A),
+    ], W
+
+
+@settings(max_examples=150, deadline=None)
+@given(_multigraph_with_sets())
+def test_distance_field_matches_dense_kernel(case):
+    G, A, B = case
+    verts = [gg.vertex_point(G, v) for v in G.vertices]
+    field = graph_mod._distance_field(G, graph_mod._fields(G, A))
+    assert field == pytest.approx(gg.pairwise_distances(G, verts, A).min(axis=1), rel=1e-12)
+    P = gg.pairwise_distances(G, A, B)
+    assert gg.directed_hausdorff_sets(G, A, B) == pytest.approx(P.min(axis=1).max(), rel=1e-12)
+    assert gg.directed_hausdorff_sets(G, B, A) == pytest.approx(P.min(axis=0).max(), rel=1e-12)
+    values, W = _set_queries(G, A, B)
+    # the same queries with every field read off the dense matrix instead
+    with mock.patch.object(graph_mod, "_distance_field", _dense_field), mock.patch.object(
+        hausdorff_mod, "_distance_field", _dense_field
+    ):
+        dense_values, dense_W = _set_queries(G, A, B)
+    assert values == pytest.approx(dense_values, rel=1e-12)
+    assert W.vertices == dense_W.vertices
+    assert W.intervals.keys() == dense_W.intervals.keys()
+    for eid, ivs in W.intervals.items():
+        assert np.ravel(ivs) == pytest.approx(np.ravel(dense_W.intervals[eid]), rel=1e-12)
+
+
+def test_distance_field_self_loop_source_near_basepoint(circle):
+    # the source links to the basepoint once, with the shorter arc: two
+    # links to the same vertex would be summed into the full circumference
+    A = gg.point_set(circle, [("loop", 0.1)])
+    o = gg.point_set(circle, ["o"])
+    assert gg.directed_hausdorff_sets(circle, o, A) == pytest.approx(0.1)
+    assert gg.distance_to_set(circle, gg.vertex_point(circle, "o"), A) == pytest.approx(0.1)
+    assert gg.hausdorff_graph_to_set(circle, A) == pytest.approx(math.pi)
+    assert gg.thickening(circle, A, 0.2).vertices == frozenset({"o"})
+
+
+def test_set_distances_leave_the_dense_matrix_unbuilt(multi):
+    G = multi
+    A = gg.point_set(G, ["u", ("a", 1.0), ("self", 0.5)])
+    B = gg.point_set(G, [("b", 0.5), ("spur", 0.25)])
+    _set_queries(G, A, B)
+    gg.directed_hausdorff_sets(G, B, A)
+    gg.distance_to_set(G, B[0], A)
+    assert G._vertex_distances is None
+    gg.pairwise_distances(G, A, B)
+    assert G._vertex_distances is not None

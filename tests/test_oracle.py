@@ -46,6 +46,21 @@ def test_metric_validation_rejects_bad_input():
         gg.FiniteMetricSpace(bad)
 
 
+def test_metric_validation_checks_every_middle_point():
+    # uniform distance 2, except that point 3 sits at distance 1 from points
+    # 1 and 2, whose distance 2.5 then breaks the triangle through 3 alone
+    def matrix(n):
+        d = np.full((n, n), 2.0)
+        np.fill_diagonal(d, 0.0)
+        d[3, [1, 2]] = d[[1, 2], 3] = 1.0
+        d[1, 2] = d[2, 1] = 2.5
+        return d
+
+    for n in (200, 300):
+        with pytest.raises(gg.InvalidMetric, match="through point 3"):
+            gg.FiniteMetricSpace(matrix(n))
+
+
 def test_from_line_sorts_and_dedups():
     M = gg.FiniteMetricSpace.from_line([0.5, 0.0, 0.5])
     assert M.d.shape == (2, 2)
