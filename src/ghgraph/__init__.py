@@ -7,192 +7,26 @@ including continuum-vs-subset), ``oracle`` (exhaustive Gromov-Hausdorff
 search on small finite spaces), ``bounds`` (certified lower bounds and
 exact values with recorded hypotheses), and ``constructions`` (extremal
 instances and dense nets). The ``ghgraph`` console script exposes the same
-operations on JSON fixtures.
+operations on JSON fixtures. Every public name of those modules, and of
+``errors``, is re-exported here from the module's ``__all__``.
 """
 
-from .errors import (
-    ConstructionVerificationFailed,
-    DisconnectedGraph,
-    EmptyRegion,
-    EmptySet,
-    EpsilonOutOfRange,
-    GhGraphError,
-    GuardExceeded,
-    InvalidMetric,
-    LoopCountGuardExceeded,
-    NonPositiveEdgeLength,
-    NonPositiveEpsilon,
-    NonPositiveRadius,
-    NotACircle,
-    NotACorrespondence,
-    NotATree,
-    ParseError,
-    PointNotOnGraph,
-    PointOutsideInterval,
-    UnknownEndpoint,
-    ValidationError,
-)
-from .graph import (
-    TOLERANCE,
-    Edge,
-    EdgeIntervalSet,
-    GraphPoint,
-    MetricGraph,
-    PointSet,
-    SimpleLoop,
-    boundary,
-    build_graph,
-    circle_circumference,
-    distance_to_set,
-    edge_point,
-    enumerate_simple_loops,
-    graph_diameter,
-    pairwise_distances,
-    point_distance,
-    point_set,
-    region,
-    region_is_connected,
-    set_diameter,
-    smallest_nonterminal_edge,
-    thickening,
-    vertex_point,
-    whole_graph_region,
-)
-from .hausdorff import (
-    directed_hausdorff_boundary,
-    directed_hausdorff_sets,
-    hausdorff_graph_to_region,
-    hausdorff_graph_to_set,
-    hausdorff_sets,
-)
-from .oracle import (
-    Correspondence,
-    FiniteMetricSpace,
-    distortion,
-    gh_exact,
-    is_isometric,
-    restrict_metric,
-)
-from .bounds import (
-    EXACT_VALUE,
-    INAPPLICABLE,
-    LOWER_BOUND,
-    BoundCertificate,
-    Hypothesis,
-    best_bound,
-    circle_bound,
-    circle_pair_bound,
-    diameter_bound,
-    graph_bound,
-    graph_pair_bound,
-    interval_gh_exact,
-    tree_equality,
-    tree_pair_bound,
-)
-from .constructions import (
-    ArcCorrespondence,
-    arc_correspondence_distortion,
-    circle_graph,
-    circle_six_point,
-    epsilon_net,
-    grid_coordinates,
-    grid_interval,
-    region_net,
-    segment_graph,
-    star_counterexample,
-    star_graph,
-    theta_graph,
-)
+from . import bounds, constructions, errors, graph, hausdorff, oracle
+from .errors import *
+from .graph import *
+from .hausdorff import *
+from .oracle import *
+from .bounds import *
+from .constructions import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "TOLERANCE",
     "__version__",
-    # errors
-    "GhGraphError",
-    "ValidationError",
-    "ParseError",
-    "GuardExceeded",
-    "LoopCountGuardExceeded",
-    "ConstructionVerificationFailed",
-    "NonPositiveEdgeLength",
-    "UnknownEndpoint",
-    "DisconnectedGraph",
-    "PointNotOnGraph",
-    "EmptySet",
-    "EmptyRegion",
-    "NonPositiveRadius",
-    "NotACorrespondence",
-    "InvalidMetric",
-    "NotATree",
-    "NotACircle",
-    "PointOutsideInterval",
-    "NonPositiveEpsilon",
-    "EpsilonOutOfRange",
-    # graphs
-    "Edge",
-    "MetricGraph",
-    "build_graph",
-    "GraphPoint",
-    "vertex_point",
-    "edge_point",
-    "PointSet",
-    "point_set",
-    "point_distance",
-    "pairwise_distances",
-    "distance_to_set",
-    "set_diameter",
-    "graph_diameter",
-    "boundary",
-    "smallest_nonterminal_edge",
-    "circle_circumference",
-    "SimpleLoop",
-    "enumerate_simple_loops",
-    "EdgeIntervalSet",
-    "region",
-    "whole_graph_region",
-    "thickening",
-    "region_is_connected",
-    # hausdorff
-    "directed_hausdorff_sets",
-    "hausdorff_sets",
-    "hausdorff_graph_to_set",
-    "hausdorff_graph_to_region",
-    "directed_hausdorff_boundary",
-    # oracle
-    "FiniteMetricSpace",
-    "Correspondence",
-    "distortion",
-    "gh_exact",
-    "restrict_metric",
-    "is_isometric",
-    # bounds
-    "LOWER_BOUND",
-    "EXACT_VALUE",
-    "INAPPLICABLE",
-    "Hypothesis",
-    "BoundCertificate",
-    "diameter_bound",
-    "tree_equality",
-    "tree_pair_bound",
-    "circle_bound",
-    "circle_pair_bound",
-    "graph_bound",
-    "graph_pair_bound",
-    "interval_gh_exact",
-    "best_bound",
-    # constructions
-    "circle_graph",
-    "segment_graph",
-    "star_graph",
-    "theta_graph",
-    "star_counterexample",
-    "region_net",
-    "ArcCorrespondence",
-    "circle_six_point",
-    "arc_correspondence_distortion",
-    "epsilon_net",
-    "grid_coordinates",
-    "grid_interval",
+    *errors.__all__,
+    *graph.__all__,
+    *hausdorff.__all__,
+    *oracle.__all__,
+    *bounds.__all__,
+    *constructions.__all__,
 ]

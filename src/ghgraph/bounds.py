@@ -119,7 +119,10 @@ def tree_equality(T: MetricGraph, X: PointSet) -> BoundCertificate:
     """
     _require_tree(T)
     _require_nonempty(X, "X")
-    h = hausdorff_graph_to_set(T, X)
+    return _tree_equality(T, X, hausdorff_graph_to_set(T, X))
+
+
+def _tree_equality(T: MetricGraph, X: PointSet, h: float) -> BoundCertificate:
     b = directed_hausdorff_boundary(T, X)
     ok = h > b + TOLERANCE
     hyp = Hypothesis(
@@ -139,8 +142,10 @@ def tree_pair_bound(T: MetricGraph, X: PointSet, Y: PointSet) -> BoundCertificat
     _require_tree(T)
     _require_nonempty(X, "X")
     _require_nonempty(Y, "Y")
-    eps = hausdorff_graph_to_set(T, Y)
-    h_xy = hausdorff_sets(T, X, Y)
+    return _tree_pair_bound(T, X, hausdorff_graph_to_set(T, Y), hausdorff_sets(T, X, Y))
+
+
+def _tree_pair_bound(T: MetricGraph, X: PointSet, eps: float, h_xy: float) -> BoundCertificate:
     b = directed_hausdorff_boundary(T, X)
     ok = h_xy > b + eps + TOLERANCE
     hyps = (
@@ -166,7 +171,10 @@ def circle_bound(G: MetricGraph, X: PointSet) -> BoundCertificate:
     """
     L = circle_circumference(G)
     _require_nonempty(X, "X")
-    h = hausdorff_graph_to_set(G, X)
+    return _circle_bound(L, hausdorff_graph_to_set(G, X))
+
+
+def _circle_bound(L: float, h: float) -> BoundCertificate:
     cap = L / 6.0
     if h <= cap:
         return BoundCertificate(h, EXACT_VALUE, "circle", (), h)
@@ -178,8 +186,10 @@ def circle_pair_bound(G: MetricGraph, X: PointSet, Y: PointSet) -> BoundCertific
     L = circle_circumference(G)
     _require_nonempty(X, "X")
     _require_nonempty(Y, "Y")
-    eps = hausdorff_graph_to_set(G, Y)
-    h_xy = hausdorff_sets(G, X, Y)
+    return _circle_pair_bound(L, hausdorff_graph_to_set(G, Y), hausdorff_sets(G, X, Y))
+
+
+def _circle_pair_bound(L: float, eps: float, h_xy: float) -> BoundCertificate:
     value = min(h_xy - 2.0 * eps, L / 6.0 - eps)
     ok = value > 0.0
     hyps = (
@@ -217,7 +227,10 @@ def graph_bound(G: MetricGraph, X: PointSet) -> BoundCertificate:
     if len(G.edges) == len(G.vertices) - 1:
         return tree_equality(G, X)
     _require_nonempty(X, "X")
-    h = hausdorff_graph_to_set(G, X)
+    return _graph_bound(G, X, hausdorff_graph_to_set(G, X))
+
+
+def _graph_bound(G: MetricGraph, X: PointSet, h: float) -> BoundCertificate:
     hyps, ok = _boundary_hypothesis(G, X, h)
     e = smallest_nonterminal_edge(G)
     assert e is not None  # a loop forces a non-terminal edge
@@ -235,10 +248,15 @@ def graph_pair_bound(G: MetricGraph, X: PointSet, Y: PointSet) -> BoundCertifica
         return tree_pair_bound(G, X, Y)
     _require_nonempty(X, "X")
     _require_nonempty(Y, "Y")
-    h_x = hausdorff_graph_to_set(G, X)
+    return _graph_pair_bound(
+        G, X, hausdorff_graph_to_set(G, X), hausdorff_graph_to_set(G, Y), hausdorff_sets(G, X, Y)
+    )
+
+
+def _graph_pair_bound(
+    G: MetricGraph, X: PointSet, h_x: float, eps: float, h_xy: float
+) -> BoundCertificate:
     hyps, ok = _boundary_hypothesis(G, X, h_x)
-    eps = hausdorff_graph_to_set(G, Y)
-    h_xy = hausdorff_sets(G, X, Y)
     e = smallest_nonterminal_edge(G)
     assert e is not None
     value = min(h_xy - 2.0 * eps, e / 12.0 - eps)
@@ -337,7 +355,7 @@ def best_bound(
         h = hausdorff_graph_to_set(G, X)
         certs.append(diameter_bound(graph_diameter(G), set_diameter(G, X), h))
         if is_tree:
-            certs.append(tree_equality(G, X))
+            certs.append(_tree_equality(G, X, h))
             seg = _segment_data(G)
             if seg is not None:
                 value = interval_gh_exact(0.0, seg[2], X, G)
@@ -346,19 +364,21 @@ def best_bound(
                 )
         else:
             if is_circle:
-                certs.append(circle_bound(G, X))
-            certs.append(graph_bound(G, X))
+                certs.append(_circle_bound(circle_circumference(G), h))
+            certs.append(_graph_bound(G, X, h))
     else:
         _require_nonempty(Y, "Y")
         h_xy = hausdorff_sets(G, X, Y)
+        eps = hausdorff_graph_to_set(G, Y)
         certs.append(
             diameter_bound(set_diameter(G, X), set_diameter(G, Y), h_xy)
         )
         if is_tree:
-            certs.append(tree_pair_bound(G, X, Y))
+            certs.append(_tree_pair_bound(G, X, eps, h_xy))
         else:
             if is_circle:
-                certs.append(circle_pair_bound(G, X, Y))
-            certs.append(graph_pair_bound(G, X, Y))
+                certs.append(_circle_pair_bound(circle_circumference(G), eps, h_xy))
+            h_x = hausdorff_graph_to_set(G, X)
+            certs.append(_graph_pair_bound(G, X, h_x, eps, h_xy))
 
     return sorted(certs, key=lambda c: -c.value)

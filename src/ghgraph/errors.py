@@ -8,6 +8,29 @@ built-in verification.
 
 from __future__ import annotations
 
+__all__ = [
+    "GhGraphError",
+    "ValidationError",
+    "NonPositiveEdgeLength",
+    "UnknownEndpoint",
+    "DisconnectedGraph",
+    "PointNotOnGraph",
+    "EmptySet",
+    "EmptyRegion",
+    "NonPositiveRadius",
+    "NotACorrespondence",
+    "InvalidMetric",
+    "NotATree",
+    "NotACircle",
+    "PointOutsideInterval",
+    "NonPositiveEpsilon",
+    "EpsilonOutOfRange",
+    "ParseError",
+    "GuardExceeded",
+    "LoopCountGuardExceeded",
+    "ConstructionVerificationFailed",
+]
+
 
 class GhGraphError(Exception):
     """Base class for all library errors."""

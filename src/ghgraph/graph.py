@@ -440,92 +440,92 @@ def set_diameter(G: MetricGraph, A: PointSet) -> float:
 # --------------------------------------------------------------------------
 # continuum diameter
 
-# For two fixed edges the distance between offset-parameterized points is a
-# minimum of affine functions with slopes +-1 in each offset. A minimum of
-# affine functions is concave, so its maximum over a box (or a triangle,
-# after splitting |s - t| into its two affine halves) is attained where two
-# of the defining lines cross, or on the boundary. We intersect all pairs
-# of lines, keep candidates inside the domain, and evaluate exactly.
+# For edges e1 = (u1, v1, l1) and e2 = (u2, v2, l2) the distance between the
+# points at offsets s on e1 and t on e2 is the minimum of four affine pieces
+# cs*s + ct*t + c, cs and ct = +-1, one per endpoint pair a geodesic passes.
+# That minimum is concave, so its maximum over the box [0, l1] x [0, l2] lies
+# where two of ten lines cross: the four box sides and the six lines where
+# two pieces agree. The ten slopes are the same for every pair, so which of
+# the 45 line combinations cross, and their determinants, are fixed; each
+# crossing is solved for a chunk of pairs at once, kept when inside the box
+# (to eps) and evaluated exactly; one edge's triangle 0 <= s <= t <= l alike.
+# Each point of an edge is within half its length of an endpoint, so
+#   d(p, q) <= l1/2 + D(nearest endpoints) + l2/2 <= max D(ends) + (l1 + l2)/2.
+# Pairs go by decreasing bound, stopping at the first chunk whose bound is
+# below the best value by 1e-11 (1 + bound): more than the 2 eps and the
+# rounding by which a candidate kept within eps of the box can exceed it.
+
+_PAIR_CHUNK = 256
+_PIECES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+_PIECE_PAIRS = tuple(itertools.combinations(range(4), 2))
 
 
-def _max_min_affine(lines, inside, evaluate) -> float:
-    best = -np.inf
-    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(lines, 2):
-        det = a1 * b2 - a2 * b1
-        if abs(det) < 1e-15:
-            continue
-        s = (c1 * b2 - c2 * b1) / det
-        t = (a1 * c2 - a2 * c1) / det
-        if inside(s, t):
-            val = evaluate(s, t)
-            if val > best:
-                best = val
-    return best
-
-
-def _diameter_pair(G: MetricGraph, e1: Edge, e2: Edge) -> float:
-    D = G.vertex_distances
-    vi = G.vertex_index
-    l1, l2 = e1.length, e2.length
-    u1, v1 = vi[e1.u], vi[e1.v]
-    u2, v2 = vi[e2.u], vi[e2.v]
-    # pieces as (coef_s, coef_t, const): value = cs*s + ct*t + c
-    pieces = [
-        (1.0, 1.0, float(D[u1, u2])),
-        (1.0, -1.0, float(D[u1, v2]) + l2),
-        (-1.0, 1.0, float(D[v1, u2]) + l1),
-        (-1.0, -1.0, float(D[v1, v2]) + l1 + l2),
+def _crossings(slopes):
+    """Crossing line pairs i, j, then a_i, b_i, a_j, b_j, det as columns."""
+    rows = [
+        (i, j, a1, b1, a2, b2, a1 * b2 - a2 * b1)
+        for (i, (a1, b1)), (j, (a2, b2)) in itertools.combinations(enumerate(slopes), 2)
+        if abs(a1 * b2 - a2 * b1) >= 1e-15
     ]
+    i, j, *coefs = zip(*rows)
+    return (np.array(i), np.array(j), *(np.array(c)[:, None] for c in coefs))
 
-    def evaluate(s: float, t: float) -> float:
-        return min(cs * s + ct * t + c for cs, ct, c in pieces)
 
-    lines = [(1.0, 0.0, 0.0), (1.0, 0.0, l1), (0.0, 1.0, 0.0), (0.0, 1.0, l2)]
-    for (p, q) in itertools.combinations(pieces, 2):
-        a, b, c = p[0] - q[0], p[1] - q[1], q[2] - p[2]
-        if a != 0.0 or b != 0.0:
-            lines.append((a, b, c))
+_PAIR_CROSSINGS = _crossings(
+    [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
+    + [(_PIECES[p][0] - _PIECES[q][0], _PIECES[p][1] - _PIECES[q][1]) for p, q in _PIECE_PAIRS]
+)
+# s = 0, t = l, the s = t side of the triangle, and where its two pieces cross
+_SAME_EDGE_CROSSINGS = _crossings([(1.0, 0.0), (0.0, 1.0), (1.0, -1.0), (-2.0, 2.0)])
+
+
+def _solve(crossings, rhs):
+    """(s, t) per crossing (rows) and case (columns); one rhs entry per line."""
+    i, j, a1, b1, a2, b2, det = crossings
+    rhs = np.array(np.broadcast_arrays(*rhs))
+    c1, c2 = rhs[i], rhs[j]
+    return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+
+
+def _pair_max(D, u1, v1, l1, u2, v2, l2) -> float:
+    """Largest distance between a point of e1 and one of e2, over a chunk."""
+    c = (D[u1, u2], D[u1, v2] + l2, D[v1, u2] + l1, D[v1, v2] + l1 + l2)
+    s, t = _solve(_PAIR_CROSSINGS, [0.0, l1, 0.0, l2] + [c[q] - c[p] for p, q in _PIECE_PAIRS])
     eps = 1e-12 * (1.0 + l1 + l2)
-
-    def inside(s: float, t: float) -> bool:
-        return -eps <= s <= l1 + eps and -eps <= t <= l2 + eps
-
-    return _max_min_affine(lines, inside, evaluate)
+    inside = (-eps <= s) & (s <= l1 + eps) & (-eps <= t) & (t <= l2 + eps)
+    value = np.min([cs * s + ct * t + ck for (cs, ct), ck in zip(_PIECES, c)], axis=0)
+    return float(np.max(value, where=inside, initial=-np.inf))
 
 
-def _diameter_same_edge(G: MetricGraph, e: Edge) -> float:
-    # On the triangle 0 <= s <= t <= l the distance is min(t - s, s + h + l - t)
-    # with h the vertex distance between the endpoints (0 for a self-loop);
-    # the route leaving through u and entering through u again is dominated.
-    l = e.length
-    h = G.vertex_distance(e.u, e.v)
-
-    def evaluate(s: float, t: float) -> float:
-        return min(t - s, s + h + l - t)
-
-    lines = [
-        (1.0, 0.0, 0.0),
-        (0.0, 1.0, l),
-        (1.0, -1.0, 0.0),  # the s = t boundary of the triangle
-        (-2.0, 2.0, h + l),  # crossing of the two pieces
-    ]
+def _same_edge_max(h, l) -> float:
+    """Largest distance within one edge, over all edges: on 0 <= s <= t <= l
+    it is min(t - s, s + h + l - t), h the distance between the endpoints (0
+    on a self-loop); leaving and re-entering through one endpoint is dominated."""
+    s, t = _solve(_SAME_EDGE_CROSSINGS, [0.0, l, 0.0, h + l])
     eps = 1e-12 * (1.0 + l)
-
-    def inside(s: float, t: float) -> bool:
-        return -eps <= s and t <= l + eps and s <= t + eps
-
-    return _max_min_affine(lines, inside, evaluate)
+    inside = (-eps <= s) & (t <= l + eps) & (s <= t + eps)
+    return float(np.max(np.minimum(t - s, s + h + l - t), where=inside, initial=-np.inf))
 
 
 def graph_diameter(G: MetricGraph) -> float:
     """Supremum of distances over the whole continuum of the graph, exactly."""
     if not G.edges:
         return 0.0
-    best = float(G.vertex_distances.max())
-    for i, e1 in enumerate(G.edges):
-        best = max(best, _diameter_same_edge(G, e1))
-        for e2 in G.edges[i + 1 :]:
-            best = max(best, _diameter_pair(G, e1, e2))
+    D = G.vertex_distances
+    u, v = np.array([(G.vertex_index[e.u], G.vertex_index[e.v]) for e in G.edges]).T
+    l = np.array([e.length for e in G.edges])
+    best = max(float(D.max()), _same_edge_max(D[u, v], l))
+    a, b = np.triu_indices(len(l), k=1)
+    ua, va, ub, vb = u[a], v[a], u[b], v[b]
+    far = np.maximum(np.maximum(D[ua, ub], D[ua, vb]), np.maximum(D[va, ub], D[va, vb]))
+    bound = far + (l[a] + l[b]) / 2.0
+    order = np.argsort(-bound)
+    for k in range(0, len(order), _PAIR_CHUNK):
+        top = bound[order[k]]
+        if top + 1e-11 * (1.0 + top) < best:
+            break
+        p, q = a[order[k : k + _PAIR_CHUNK]], b[order[k : k + _PAIR_CHUNK]]
+        best = max(best, _pair_max(D, u[p], v[p], l[p], u[q], v[q], l[q]))
     return best
 
 

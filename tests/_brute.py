@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive and independent of the code under test:
 explicit Dijkstra over an adjacency list, exhaustive search over all pairs of
-covering maps, double loops for distortion.
+covering maps, double loops for distortion. The continuum diameter reference
+is the scalar edge-pair loop; it reads the graph's own ``vertex_distances``,
+so it checks the candidate search, not the vertex distances.
 """
 
 from __future__ import annotations
@@ -62,3 +64,88 @@ def gh_by_enumeration(dx, dy):
 def circle_arc_distance(a, b, circumference):
     gap = abs(a - b) % circumference
     return min(gap, circumference - gap)
+
+
+# --------------------------------------------------------------------------
+# continuum diameter: the scalar line-intersection loop, kept frozen as the
+# reference the array code in ``ghgraph.graph`` must match exactly
+
+
+def _max_min_affine(lines, inside, evaluate):
+    best = -math.inf
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(lines, 2):
+        det = a1 * b2 - a2 * b1
+        if abs(det) < 1e-15:
+            continue
+        s = (c1 * b2 - c2 * b1) / det
+        t = (a1 * c2 - a2 * c1) / det
+        if inside(s, t):
+            val = evaluate(s, t)
+            if val > best:
+                best = val
+    return best
+
+
+def _diameter_pair(G, e1, e2):
+    D = G.vertex_distances
+    vi = G.vertex_index
+    l1, l2 = e1.length, e2.length
+    u1, v1 = vi[e1.u], vi[e1.v]
+    u2, v2 = vi[e2.u], vi[e2.v]
+    # pieces as (coef_s, coef_t, const): value = cs*s + ct*t + c
+    pieces = [
+        (1.0, 1.0, float(D[u1, u2])),
+        (1.0, -1.0, float(D[u1, v2]) + l2),
+        (-1.0, 1.0, float(D[v1, u2]) + l1),
+        (-1.0, -1.0, float(D[v1, v2]) + l1 + l2),
+    ]
+
+    def evaluate(s, t):
+        return min(cs * s + ct * t + c for cs, ct, c in pieces)
+
+    lines = [(1.0, 0.0, 0.0), (1.0, 0.0, l1), (0.0, 1.0, 0.0), (0.0, 1.0, l2)]
+    for (p, q) in itertools.combinations(pieces, 2):
+        a, b, c = p[0] - q[0], p[1] - q[1], q[2] - p[2]
+        if a != 0.0 or b != 0.0:
+            lines.append((a, b, c))
+    eps = 1e-12 * (1.0 + l1 + l2)
+
+    def inside(s, t):
+        return -eps <= s <= l1 + eps and -eps <= t <= l2 + eps
+
+    return _max_min_affine(lines, inside, evaluate)
+
+
+def _diameter_same_edge(G, e):
+    # On the triangle 0 <= s <= t <= l the distance is min(t - s, s + h + l - t)
+    # with h the vertex distance between the endpoints (0 for a self-loop).
+    l = e.length
+    h = float(G.vertex_distances[G.vertex_index[e.u], G.vertex_index[e.v]])
+
+    def evaluate(s, t):
+        return min(t - s, s + h + l - t)
+
+    lines = [
+        (1.0, 0.0, 0.0),
+        (0.0, 1.0, l),
+        (1.0, -1.0, 0.0),  # the s = t boundary of the triangle
+        (-2.0, 2.0, h + l),  # crossing of the two pieces
+    ]
+    eps = 1e-12 * (1.0 + l)
+
+    def inside(s, t):
+        return -eps <= s and t <= l + eps and s <= t + eps
+
+    return _max_min_affine(lines, inside, evaluate)
+
+
+def graph_diameter(G):
+    """Continuum diameter by visiting every edge pair with scalar arithmetic."""
+    if not G.edges:
+        return 0.0
+    best = float(G.vertex_distances.max())
+    for i, e1 in enumerate(G.edges):
+        best = max(best, _diameter_same_edge(G, e1))
+        for e2 in G.edges[i + 1 :]:
+            best = max(best, _diameter_pair(G, e1, e2))
+    return best

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ghgraph as gg
+from ghgraph import bounds as bounds_mod
 
 from _brute import gh_by_enumeration
 
@@ -319,6 +321,44 @@ def test_best_bound_pair(segment02):
     Y = gg.epsilon_net(segment02, 0.05)
     certs = gg.best_bound(segment02, X, Y)
     assert {c.theorem for c in certs} == {"tree-pair", "diameter"}
+
+
+@pytest.mark.parametrize("graph", ["circle", "lollipop"])
+def test_best_bound_computes_each_set_distance_once(graph, request, monkeypatch):
+    G = request.getfixturevalue(graph)
+    edge = G.edges[0].id
+    X = gg.point_set(G, [(edge, 0.5), (edge, 2.0)])
+    Y = gg.point_set(G, [(edge, 0.7), (edge, 1.9), (edge, 2.5)])
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(bounds_mod, name)
+
+        def wrapper(*args):
+            calls[(name, *map(id, args))] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("hausdorff_graph_to_set", "hausdorff_sets"):
+        monkeypatch.setattr(bounds_mod, name, counted(name))
+    alone = gg.best_bound(G, X)
+    assert calls == Counter([("hausdorff_graph_to_set", id(G), id(X))])
+    calls.clear()
+    paired = gg.best_bound(G, X, Y)
+    assert calls == Counter(
+        [
+            ("hausdorff_graph_to_set", id(G), id(X)),
+            ("hausdorff_graph_to_set", id(G), id(Y)),
+            ("hausdorff_sets", id(G), id(X), id(Y)),
+        ]
+    )
+    # the shared values give the certificates the public functions give
+    circle = graph == "circle"
+    expected = ([gg.circle_bound(G, X)] if circle else []) + [gg.graph_bound(G, X)]
+    assert [c for c in alone if c.theorem != "diameter"] == sorted(expected, key=lambda c: -c.value)
+    expected = ([gg.circle_pair_bound(G, X, Y)] if circle else []) + [gg.graph_pair_bound(G, X, Y)]
+    assert [c for c in paired if c.theorem != "diameter"] == sorted(expected, key=lambda c: -c.value)
 
 
 def test_certificate_invariants(segment02, circle, theta345):

@@ -1,9 +1,14 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import _brute
 import ghgraph as gg
+from ghgraph import graph as graph_mod
 
 from _brute import dijkstra
 
@@ -166,6 +171,93 @@ def test_graph_diameter_vs_sampling(theta345):
     sampled = float(D.max())
     exact = gg.graph_diameter(theta345)
     assert sampled - TAU <= exact <= sampled + h
+
+
+@st.composite
+def _multigraph(draw):
+    # a random spanning tree plus extra edges with free endpoints (so
+    # self-loops and parallel edges occur); lengths are either all dyadic
+    # from a short list, which makes ties between routes likely, or free
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        length = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+    else:
+        length = st.floats(0.05, 5.0)
+    edges = [(f"t{i}", f"v{draw(st.integers(0, i - 1))}", f"v{i}", draw(length)) for i in range(1, n)]
+    for i in range(draw(st.integers(1 if n == 1 else 0, 16 - len(edges)))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edges.append((f"x{i}", f"v{u}", f"v{v}", draw(length)))
+    return gg.build_graph([f"v{i}" for i in range(n)], edges)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_multigraph())
+def test_graph_diameter_matches_scalar_reference(G):
+    reference = _brute.graph_diameter(G)
+    assert gg.graph_diameter(G) == reference
+    # chunks of 3 pairs, so the pruning runs over many chunks on small graphs
+    with mock.patch.object(graph_mod, "_PAIR_CHUNK", 3):
+        assert gg.graph_diameter(G) == reference
+
+
+# the diameter sits at a crossing for one pair of edges that rounds just
+# outside the pair's box: without the eps slack the value drops by one ulp
+_EPS_EDGE = gg.build_graph(
+    ["v0", "v1", "v2", "v3"],
+    [
+        ("t1", "v0", "v1", 1.7234560938417396),
+        ("t2", "v1", "v2", 2.8216378854122195),
+        ("t3", "v1", "v3", 4.712022935740329),
+        ("x0", "v0", "v2", 4.785419059723816),
+    ],
+)
+
+
+@pytest.mark.parametrize(
+    "G",
+    [
+        gg.circle_graph(),
+        gg.segment_graph(0.0, 1.0),
+        gg.theta_graph(3.0, 4.0, 5.0),
+        gg.star_graph([1.0, 2.0, 3.0, 4.0]),
+        _EPS_EDGE,
+    ],
+    ids=["circle", "segment", "theta345", "star4", "eps-edge"],
+)
+def test_graph_diameter_matches_scalar_reference_on_fixtures(G):
+    assert gg.graph_diameter(G) == _brute.graph_diameter(G)
+
+
+def test_graph_diameter_found_behind_looser_bounds():
+    # the four parallel u-v edges have the largest pair bound, 0.5 + 0.5, but
+    # reach only 0.5; the diameter, 0.65 from the loop's antipode to v, lies
+    # on the loop-bundle pairs, whose bound 0.9 sorts them into the third chunk
+    bundle = [(f"b{i}", "u", "v", 0.5) for i in range(4)]
+    G = gg.build_graph(["u", "v", "w"], bundle + [("p", "u", "w", 0.05), ("c", "w", "w", 0.2)])
+    with mock.patch.object(graph_mod, "_PAIR_CHUNK", 3):
+        assert gg.graph_diameter(G) == _brute.graph_diameter(G) == pytest.approx(0.65)
+
+
+def test_graph_diameter_prunes_chunks_of_edge_pairs(monkeypatch):
+    # 90 edges make 4005 pairs, several chunks; the pass stops before the
+    # last chunk and still matches the reference that visits every pair
+    rng = np.random.default_rng(7)
+    ends = [(rng.integers(0, i), i) for i in range(1, 45)] + [tuple(rng.integers(0, 45, 2)) for _ in range(46)]
+    G = gg.build_graph(
+        [f"v{i}" for i in range(45)],
+        [(f"e{k}", f"v{u}", f"v{v}", rng.uniform(0.5, 2.0)) for k, (u, v) in enumerate(ends)],
+    )
+    chunks = []
+    pair_max = graph_mod._pair_max
+
+    def counted(D, *pairs):
+        chunks.append(len(pairs[0]))
+        return pair_max(D, *pairs)
+
+    monkeypatch.setattr(graph_mod, "_pair_max", counted)
+    assert gg.graph_diameter(G) == _brute.graph_diameter(G)
+    n_chunks = math.ceil(90 * 89 / 2 / graph_mod._PAIR_CHUNK)
+    assert n_chunks >= 3 and 1 <= len(chunks) < n_chunks
 
 
 def test_boundary(segment01, circle, theta345, multi):
