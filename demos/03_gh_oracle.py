@@ -28,12 +28,16 @@ print("\ntheta-graph subsets:", value)
 print("  witness:", witness.pairs)
 assert gg.distortion(witness, A, B) == 2 * value
 
-# The same call answers a guard when the search would be too large.
-big = gg.restrict_metric(G, gg.epsilon_net(G, 0.3))
+# The same call answers a guard when the search would be too large, with
+# the bracket it had reached: half the diameter gap below, the best map
+# pair found so far above.
+fine = gg.restrict_metric(G, gg.epsilon_net(G, 0.3))
+coarse = gg.restrict_metric(G, gg.epsilon_net(G, 0.5))
 try:
-    gg.gh_exact(big, big, guard=1000)
+    gg.gh_exact(fine, coarse, guard=1000)
 except gg.GuardExceeded as exc:
     print("\nguarded:", exc)
+    print("  bracket:", exc.bracket)
 
 # gh(X, X) is always zero; the search recognizes it immediately.
 print("\nself distance:", gg.gh_exact(A, A)[0])

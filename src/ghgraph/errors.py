@@ -101,7 +101,15 @@ class ParseError(GhGraphError):
 
 
 class GuardExceeded(GhGraphError):
-    """An exhaustive search hit its configured work limit."""
+    """An exhaustive search hit its configured work limit.
+
+    ``bracket`` is (lower, upper) when the search knew bounds on its answer
+    at the point it stopped, else None.
+    """
+
+    def __init__(self, message: str, bracket: tuple[float, float] | None = None):
+        super().__init__(message)
+        self.bracket = bracket
 
 
 class LoopCountGuardExceeded(GuardExceeded):

@@ -7,8 +7,17 @@ correspondence, and any correspondence contains one of this shape whose
 distortion is no larger. The search runs as a depth-first scan over the
 (f, g) encoding in lexicographic order with sound lower-bound pruning, so
 it returns the same value as full enumeration and, among all minimizers,
-the lexicographically first one. A work guard caps the number of explored
-assignments.
+the lexicographically first one.
+
+Every assignment is a pair (x, y): f(i) = j is the pair (i, j), g(k) = i
+is the pair (i, k). Two pairs are compatible when their distance gap stays
+within the best distortion found so far, and the table of compatible pairs
+is held as one int per pair, with one bit per pair. A search node's whole
+state is the AND of the rows along its path: the pairs still compatible
+with every assignment made. An assignment is pruned when some later
+variable has no compatible pair left. A work guard caps the number of
+explored assignments; when it trips, the error carries the bracket the
+search had reached.
 """
 
 from __future__ import annotations
@@ -33,6 +42,8 @@ __all__ = [
 _VALIDATION_TOL = 1e-9
 # cells per block of the triangle scan, about 16 MB of float64
 _TRIANGLE_BLOCK_CELLS = 1 << 21
+# gaps per block of the pair-compatibility build, 1 MB of float64
+_PAIR_BLOCK_CELLS = 1 << 17
 
 
 def _checked_axioms(d) -> np.ndarray:
@@ -170,6 +181,33 @@ def _seed_assignments(DX: np.ndarray, DY: np.ndarray) -> list[tuple[list[int], l
     return [(f1, g1), (f2, g2)]
 
 
+def _compatible_rows(DX: np.ndarray, DY: np.ndarray, cap: float, strict: bool) -> list[int]:
+    """Row p of the pair-compatibility table at ``cap``, one int per pair.
+
+    Pair p = a*m + b relates a in X to b in Y. Bit q of row p is set when
+    |d_X(a_p, a_q) - d_Y(b_p, b_q)| is below ``cap`` (``strict``) or at most
+    ``cap``. Rows are built in blocks of about _PAIR_BLOCK_CELLS gaps, or the
+    m rows of one point of X for the largest spaces, so no float array of
+    all (nm)^2 gaps is ever held.
+    """
+    n, m = DX.shape[0], DY.shape[0]
+    nm = n * m
+    step = max(1, _PAIR_BLOCK_CELLS // (m * nm))
+    rows: list[int] = []
+    for start in range(0, n, step):
+        gap = DX[start : start + step, None, :, None] - DY[None, :, None, :]
+        np.abs(gap, out=gap)
+        ok = gap < cap if strict else gap <= cap
+        count = ok.shape[0] * m
+        raw = np.packbits(ok.reshape(count, nm), axis=1, bitorder="little")
+        width = raw.shape[1]
+        raw = raw.tobytes()
+        rows.extend(
+            int.from_bytes(raw[r * width : (r + 1) * width], "little") for r in range(count)
+        )
+    return rows
+
+
 def gh_exact(
     X: FiniteMetricSpace,
     Y: FiniteMetricSpace,
@@ -180,145 +218,102 @@ def gh_exact(
     Returns (value, witness) with value = distortion(witness) / 2. The
     witness is the union of the graphs of the minimizing pair (f, g),
     lexicographically first among all minimizing pairs. Raises
-    GuardExceeded when more than ``guard`` assignments get explored.
+    GuardExceeded when more than ``guard`` assignments get explored; the
+    error's ``bracket`` holds (|diam X - diam Y| / 2, the best value found).
     """
     DXa, DYa = X.d, Y.d
     n, m = X.n, Y.n
-    DX = [[float(v) for v in row] for row in DXa]
-    DY = [[float(v) for v in row] for row in DYa]
 
-    best_val = np.inf
-    for f, g in _seed_assignments(DXa, DYa):
-        best_val = min(best_val, _pair_value(f, g, DXa, DYa))
-    best_wit: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+    best_val = min(_pair_value(f, g, DXa, DYa) for f, g in _seed_assignments(DXa, DYa))
+    # the path of the best leaf; the leaf of the best seed pair passes the
+    # first cap, so the search always sets it
+    best_path: tuple[int, ...] = ()
+    # before the first witness a tie with the seed value is kept, after it
+    # only strict improvements are
+    C = _compatible_rows(DXa, DYa, best_val, strict=False)
 
-    f_assign = [0] * n
-    g_assign = [0] * m
+    # Variable v < n is f(v), whose candidates are the pairs (v, j): a block
+    # of m bits. Variable n + k is g(k), whose candidates are the pairs
+    # (i, k): every m-th bit from bit k. Both scan candidates by increasing p.
+    depth = n + m
+    full = (1 << (n * m)) - 1
+    row = (1 << m) - 1
+    column = sum(1 << (i * m) for i in range(n))
+    masks = [row << (i * m) for i in range(n)] + [column << k for k in range(m)]
+    layout = [(i * m, 1, m) for i in range(n)] + [(k, m, n) for k in range(m)]
+    later = [masks[v + 1 :] for v in range(depth)]
+    path = [0] * depth
+    # alive set of each level along the path of the latest witness; 0 where
+    # the path itself is no longer compatible under the new cap
+    replayed = [0] * depth
     nodes = 0
+    witnesses = 0
 
-    # Forward-check tables: FM[i][j] is the distortion floor if unassigned
-    # f-slot i later takes value j, from pairs with assigned f-slots;
-    # CR[k][i0] is the same floor for g-slot k taking value i0 from cross
-    # pairs with assigned f-slots; GM[k][i0] from pairs with assigned
-    # g-slots. Each assignment updates the tables for later slots and
-    # abandons the branch when some slot has no value below the bar.
-    FM = [[0.0] * m for _ in range(n)]
-    CR = [[0.0] * n for _ in range(m)]
-    GM = [[0.0] * n for _ in range(m)]
+    def guard_tripped() -> GuardExceeded:
+        floor = abs(float(DXa.max()) - float(DYa.max())) / 2.0
+        return GuardExceeded(
+            f"gh_exact guard of {guard} assignments exceeded; "
+            f"GH distance in [{floor:.12g}, {best_val / 2.0:.12g}]",
+            bracket=(floor, best_val / 2.0),
+        )
 
-    def blocked(bound: float) -> bool:
-        return bound > best_val or (bound == best_val and best_wit is not None)
+    def improve() -> None:
+        nonlocal best_val, best_path, C, witnesses
+        # the distortion the search bounds: the gap of each pair on the path
+        # with each later one, oriented as the rows of C
+        xs, ys = np.divmod(path, m)
+        gaps = np.abs(DXa[np.ix_(xs, xs)] - DYa[np.ix_(ys, ys)])
+        best_val = max(0.0, float(gaps[np.triu_indices(depth, 1)].max()))
+        best_path = tuple(path)
+        witnesses += 1
+        C = _compatible_rows(DXa, DYa, best_val, strict=True)
+        alive = full
+        for t, q in enumerate(path):
+            replayed[t] = alive
+            alive = alive & C[q] if alive >> q & 1 else 0
 
-    def search_g(k: int, partial: float) -> None:
-        nonlocal best_val, best_wit, nodes
-        if k == m:
-            if partial < best_val or best_wit is None:
-                best_val = partial
-                best_wit = (tuple(f_assign), tuple(g_assign))
-            return
-        row_cr = CR[k]
-        row_gm = GM[k]
-        for i0 in range(n):
-            nodes += 1
-            if nodes > guard:
-                raise GuardExceeded(f"gh_exact guard of {guard} assignments exceeded")
-            delta = row_cr[i0] if row_cr[i0] > row_gm[i0] else row_gm[i0]
-            bound = partial if partial > delta else delta
-            if blocked(bound):
-                continue
-            g_assign[k] = i0
-            dxi0 = DX[i0]
-            saved_gm = [GM[k2][:] for k2 in range(k + 1, m)]
-            dead = False
-            for k2 in range(k + 1, m):
-                row2 = GM[k2]
-                crow2 = CR[k2]
-                dyk = DY[k][k2]
-                floor = np.inf
-                for i2 in range(n):
-                    v = dxi0[i2] - dyk
-                    if v < 0.0:
-                        v = -v
-                    if v > row2[i2]:
-                        row2[i2] = v
-                    eff = row2[i2] if row2[i2] > crow2[i2] else crow2[i2]
-                    if eff < floor:
-                        floor = eff
-                if blocked(bound if bound > floor else floor):
-                    dead = True
-                    break
-            if not dead:
-                search_g(k + 1, bound)
-            for off, row_copy in enumerate(saved_gm):
-                GM[k + 1 + off] = row_copy
-
-    def search_f(i: int, partial: float) -> None:
+    def search(v: int, alive: int) -> None:
+        # alive: the pairs compatible with every pair on the path so far
         nonlocal nodes
-        if i == n:
-            search_g(0, partial)
+        if v == depth:
+            improve()
             return
-        row = FM[i]
-        for j in range(m):
-            nodes += 1
+        base, stride, size = layout[v]
+        mask = masks[v]
+        checks = later[v]
+        cand = alive & mask
+        # pruned candidates count as explored assignments too, so the guard
+        # counts every candidate up to the current one
+        done = -1
+        while cand:
+            low = cand & -cand
+            p = low.bit_length() - 1
+            index = (p - base) // stride
+            nodes += index - done
+            done = index
             if nodes > guard:
-                raise GuardExceeded(f"gh_exact guard of {guard} assignments exceeded")
-            bound = partial if partial > row[j] else row[j]
-            if blocked(bound):
-                continue
-            f_assign[i] = j
-            dxi = DX[i]
-            dyj = DY[j]
-            saved_fm = [FM[i2][:] for i2 in range(i + 1, n)]
-            saved_cr = [CR[k][:] for k in range(m)]
-            dead = False
-            for i2 in range(i + 1, n):
-                row2 = FM[i2]
-                dx = dxi[i2]
-                floor = np.inf
-                for j2 in range(m):
-                    v = dx - dyj[j2]
-                    if v < 0.0:
-                        v = -v
-                    if v > row2[j2]:
-                        row2[j2] = v
-                    if row2[j2] < floor:
-                        floor = row2[j2]
-                if blocked(bound if bound > floor else floor):
-                    dead = True
+                raise guard_tripped()
+            nxt = alive & C[p]
+            for w in checks:
+                if not nxt & w:
                     break
-            if not dead:
-                for k in range(m):
-                    rowc = CR[k]
-                    dyk = DY[j][k]
-                    floor = np.inf
-                    for i0 in range(n):
-                        v = dxi[i0] - dyk
-                        if v < 0.0:
-                            v = -v
-                        if v > rowc[i0]:
-                            rowc[i0] = v
-                        if rowc[i0] < floor:
-                            floor = rowc[i0]
-                    if blocked(bound if bound > floor else floor):
-                        dead = True
-                        break
-            if not dead:
-                search_f(i + 1, bound)
-            for off, row_copy in enumerate(saved_fm):
-                FM[i + 1 + off] = row_copy
-            for k in range(m):
-                CR[k] = saved_cr[k]
+            else:
+                path[v] = p
+                seen = witnesses
+                search(v + 1, nxt)
+                if witnesses != seen:
+                    alive = replayed[v]
+                    cand = (alive & mask) >> (p + 1) << (p + 1)
+                    continue
+            cand ^= low
+        nodes += size - 1 - done
+        if nodes > guard:
+            raise guard_tripped()
 
-    search_f(0, 0.0)
+    search(0, full)
 
-    if best_wit is None:
-        # seeds were optimal but the scan re-finds them; this only happens
-        # if everything got pruned at equality, so rerun accepting ties
-        raise RuntimeError("internal search failure")  # pragma: no cover
-    f_fin, g_fin = best_wit
-    pairs = sorted(set((i, f_fin[i]) for i in range(n)) | set((g_fin[j], j) for j in range(m)))
-    witness = Correspondence(tuple(pairs))
-    return best_val / 2.0, witness
+    pairs = sorted(set(divmod(p, m) for p in best_path))
+    return best_val / 2.0, Correspondence(tuple(pairs))
 
 
 def restrict_metric(G: MetricGraph, A: PointSet) -> FiniteMetricSpace:

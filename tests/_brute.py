@@ -4,7 +4,9 @@ Everything here is deliberately naive and independent of the code under test:
 explicit Dijkstra over an adjacency list, exhaustive search over all pairs of
 covering maps, double loops for distortion. The continuum diameter reference
 is the scalar edge-pair loop; it reads the graph's own ``vertex_distances``,
-so it checks the candidate search, not the vertex distances.
+so it checks the candidate search, not the vertex distances. The exact GH
+search reference is the float forward-check search the pair-bitmask search
+replaced; it walks the same tree and counts the same assignments.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+
+import numpy as np
 
 
 def dijkstra(vertex_ids, edge_list, src):
@@ -149,3 +153,165 @@ def graph_diameter(G):
         for e2 in G.edges[i + 1 :]:
             best = max(best, _diameter_pair(G, e1, e2))
     return best
+
+
+# --------------------------------------------------------------------------
+# exact GH search: the float forward-check tables, kept frozen as the
+# reference the pair-bitmask search in ``ghgraph.oracle`` must match exactly
+
+
+def _pair_value(f, g, DX, DY):
+    xs = list(range(len(f))) + list(g)
+    ys = list(f) + list(range(len(g)))
+    sub = np.abs(DX[np.ix_(xs, xs)] - DY[np.ix_(ys, ys)])
+    return float(sub.max())
+
+
+def _seed_assignments(DX, DY):
+    n, m = DX.shape[0], DY.shape[0]
+    ecc_x = DX.max(axis=1)
+    ecc_y = DY.max(axis=1)
+    f1 = [int(np.argmin(np.abs(ecc_y - ecc_x[i]))) for i in range(n)]
+    g1 = [int(np.argmin(np.abs(ecc_x - ecc_y[j]))) for j in range(m)]
+    order_x = sorted(range(n), key=lambda i: (float(DX[i].sum()), i))
+    order_y = sorted(range(m), key=lambda j: (float(DY[j].sum()), j))
+    f2 = [0] * n
+    for rank, i in enumerate(order_x):
+        f2[i] = order_y[min(m - 1, rank * m // n)]
+    g2 = [0] * m
+    for rank, j in enumerate(order_y):
+        g2[j] = order_x[min(n - 1, rank * n // m)]
+    return [(f1, g1), (f2, g2)]
+
+
+def gh_forward_check(DXa, DYa):
+    """(value, witness pairs, nodes): the lexicographic branch-and-bound over
+    map pairs (f, g) with float forward-check tables and no work guard.
+
+    ``nodes`` counts every candidate assignment the scan looked at, pruned
+    or not; a guard below it stops the search, a guard at it does not.
+    """
+    DXa, DYa = np.asarray(DXa, dtype=float), np.asarray(DYa, dtype=float)
+    n, m = DXa.shape[0], DYa.shape[0]
+    DX = [[float(v) for v in row] for row in DXa]
+    DY = [[float(v) for v in row] for row in DYa]
+
+    best_val = math.inf
+    for f, g in _seed_assignments(DXa, DYa):
+        best_val = min(best_val, _pair_value(f, g, DXa, DYa))
+    best_wit = None
+
+    f_assign = [0] * n
+    g_assign = [0] * m
+    nodes = 0
+
+    # FM[i][j]: distortion floor if f-slot i takes j, from assigned f-slots;
+    # CR[k][i0]: floor if g-slot k takes i0, from assigned f-slots;
+    # GM[k][i0]: the same from assigned g-slots.
+    FM = [[0.0] * m for _ in range(n)]
+    CR = [[0.0] * n for _ in range(m)]
+    GM = [[0.0] * n for _ in range(m)]
+
+    def blocked(bound):
+        return bound > best_val or (bound == best_val and best_wit is not None)
+
+    def search_g(k, partial):
+        nonlocal best_val, best_wit, nodes
+        if k == m:
+            if partial < best_val or best_wit is None:
+                best_val = partial
+                best_wit = (tuple(f_assign), tuple(g_assign))
+            return
+        row_cr = CR[k]
+        row_gm = GM[k]
+        for i0 in range(n):
+            nodes += 1
+            delta = row_cr[i0] if row_cr[i0] > row_gm[i0] else row_gm[i0]
+            bound = partial if partial > delta else delta
+            if blocked(bound):
+                continue
+            g_assign[k] = i0
+            dxi0 = DX[i0]
+            saved_gm = [GM[k2][:] for k2 in range(k + 1, m)]
+            dead = False
+            for k2 in range(k + 1, m):
+                row2 = GM[k2]
+                crow2 = CR[k2]
+                dyk = DY[k][k2]
+                floor = math.inf
+                for i2 in range(n):
+                    v = dxi0[i2] - dyk
+                    if v < 0.0:
+                        v = -v
+                    if v > row2[i2]:
+                        row2[i2] = v
+                    eff = row2[i2] if row2[i2] > crow2[i2] else crow2[i2]
+                    if eff < floor:
+                        floor = eff
+                if blocked(bound if bound > floor else floor):
+                    dead = True
+                    break
+            if not dead:
+                search_g(k + 1, bound)
+            for off, row_copy in enumerate(saved_gm):
+                GM[k + 1 + off] = row_copy
+
+    def search_f(i, partial):
+        nonlocal nodes
+        if i == n:
+            search_g(0, partial)
+            return
+        row = FM[i]
+        for j in range(m):
+            nodes += 1
+            bound = partial if partial > row[j] else row[j]
+            if blocked(bound):
+                continue
+            f_assign[i] = j
+            dxi = DX[i]
+            dyj = DY[j]
+            saved_fm = [FM[i2][:] for i2 in range(i + 1, n)]
+            saved_cr = [CR[k][:] for k in range(m)]
+            dead = False
+            for i2 in range(i + 1, n):
+                row2 = FM[i2]
+                dx = dxi[i2]
+                floor = math.inf
+                for j2 in range(m):
+                    v = dx - dyj[j2]
+                    if v < 0.0:
+                        v = -v
+                    if v > row2[j2]:
+                        row2[j2] = v
+                    if row2[j2] < floor:
+                        floor = row2[j2]
+                if blocked(bound if bound > floor else floor):
+                    dead = True
+                    break
+            if not dead:
+                for k in range(m):
+                    rowc = CR[k]
+                    dyk = DY[j][k]
+                    floor = math.inf
+                    for i0 in range(n):
+                        v = dxi[i0] - dyk
+                        if v < 0.0:
+                            v = -v
+                        if v > rowc[i0]:
+                            rowc[i0] = v
+                        if rowc[i0] < floor:
+                            floor = rowc[i0]
+                    if blocked(bound if bound > floor else floor):
+                        dead = True
+                        break
+            if not dead:
+                search_f(i + 1, bound)
+            for off, row_copy in enumerate(saved_fm):
+                FM[i + 1 + off] = row_copy
+            for k in range(m):
+                CR[k] = saved_cr[k]
+
+    search_f(0, 0.0)
+    f_fin, g_fin = best_wit
+    pairs = sorted(set((i, f_fin[i]) for i in range(n)) | set((g_fin[j], j) for j in range(m)))
+    return best_val / 2.0, tuple(pairs), nodes

@@ -191,6 +191,10 @@ def test_oracle_guard_exit_code(capsys, seg_files):
         ]
     )
     assert code == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    # diameters 2 and 0 give the floor; the seed map pair gives the incumbent
+    assert "GH distance in [1, 1]" in captured.err
 
 
 # --------------------------------------------------------------------------

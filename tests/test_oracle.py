@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ghgraph as gg
 
-from _brute import gh_by_enumeration, distortion_of_pairs
+from _brute import distortion_of_pairs, gh_by_enumeration, gh_forward_check
 
 TAU = 1e-9
 
@@ -198,8 +199,90 @@ def test_gh_guard(theta345):
     rng = np.random.default_rng(1)
     MX = gg.restrict_metric(theta345, _random_points(theta345, rng, 4))
     MY = gg.restrict_metric(theta345, _random_points(theta345, rng, 4))
-    with pytest.raises(gg.GuardExceeded):
+    with pytest.raises(gg.GuardExceeded) as info:
         gg.gh_exact(MX, MY, guard=3)
+    # the error brackets the answer: half the diameter gap below, the best
+    # map pair found so far above
+    floor, incumbent = info.value.bracket
+    assert floor == abs(MX.d.max() - MY.d.max()) / 2
+    assert f"[{floor:.12g}, {incumbent:.12g}]" in str(info.value)
+    v, _ = gg.gh_exact(MX, MY)
+    assert floor <= v <= incumbent
+
+
+# --------------------------------------------------------------------------
+# gh_exact against the float forward-check search it replaced: the same
+# tree, so the same value bits, witness and assignment count
+
+
+def _assert_same_search(MX, MY):
+    value, pairs, nodes = gh_forward_check(MX.d, MY.d)
+    v, R = gg.gh_exact(MX, MY, guard=nodes)
+    assert v == value
+    assert R.pairs == pairs
+    with pytest.raises(gg.GuardExceeded):
+        gg.gh_exact(MX, MY, guard=nodes - 1)
+    return nodes
+
+
+@st.composite
+def _finite_spaces(draw):
+    k = draw(st.integers(1, 6))
+    if draw(st.booleans()):
+        # integer coordinates under the l1 metric: many tied distances
+        pts = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                            min_size=k, max_size=k, unique=True))
+        P = np.array(pts, dtype=float)
+        d = np.abs(P[:, None] - P[None]).sum(axis=2)
+    else:
+        pts = np.array(draw(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
+                                     min_size=k, max_size=k)))
+        d = np.linalg.norm(pts[:, None] - pts[None], axis=2)
+    noise = draw(st.none() | st.integers(0, 2**32 - 1))
+    if noise is not None:
+        # below-diagonal entries and the diagonal moved by up to 4e-10
+        rng = np.random.default_rng(noise)
+        d = d + np.tril(rng.uniform(-4e-10, 4e-10, (k, k)), -1)
+        d[np.diag_indices(k)] = rng.uniform(0.0, 4e-10, k)
+    try:
+        return gg.FiniteMetricSpace(d)
+    except gg.InvalidMetric:
+        assume(False)
+
+
+@settings(max_examples=80, deadline=None)
+@given(MX=_finite_spaces(), MY=_finite_spaces())
+def test_gh_matches_forward_check_reference(MX, MY):
+    _assert_same_search(MX, MY)
+
+
+@pytest.mark.parametrize("block_cells", [None, 1])
+def test_gh_matches_forward_check_reference_on_star(monkeypatch, block_cells):
+    if block_cells is not None:  # one point of X per block of compatibility rows
+        monkeypatch.setattr(gg.oracle, "_PAIR_BLOCK_CELLS", block_cells)
+    G = gg.star_graph([1.0, 1.5, 2.0, 2.5])
+    X = [("r1", 0.43), ("r1", 0.09), ("r3", 1.57), ("r3", 1.74), ("r1", 0.11), ("r2", 0.6), ("r3", 0.5)]
+    Y = [("r3", 1.29), ("r3", 0.78), ("r4", 1.2), ("r2", 0.92), ("r4", 1.86), ("r1", 0.88), ("r3", 0.31)]
+    nodes = _assert_same_search(_space(G, X), _space(G, Y))
+    assert nodes > 10_000
+
+
+def test_gh_exact_memory_is_bounded():
+    # the compatibility rows take (nm)^2 bits; a float array of all
+    # (nm)^2 gaps would take about 20 MB here
+    rng = np.random.default_rng(0)
+    X, Y = (
+        gg.FiniteMetricSpace(np.linalg.norm(P[:, None] - P[None], axis=2))
+        for P in (rng.random((40, 2)), rng.random((40, 2)))
+    )
+    tracemalloc.start()
+    try:
+        with pytest.raises(gg.GuardExceeded):
+            gg.gh_exact(X, Y, guard=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 # --------------------------------------------------------------------------
