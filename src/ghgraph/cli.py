@@ -412,8 +412,12 @@ def _cmd_experiment(args: argparse.Namespace) -> dict:
                     restrict_metric(G, X), restrict_metric(G, Y), guard=args.guard
                 )
                 row["oracle"] = _tag("gh_exact", value)
-            except GuardExceeded:
-                row["oracle"] = {"op": "gh_exact", "error": "guard-exceeded"}
+            except GuardExceeded as err:
+                row["oracle"] = {
+                    "op": "gh_exact",
+                    "error": "guard-exceeded",
+                    "bracket": [_sig12(b) for b in err.bracket],
+                }
         else:
             row["oracle"] = {"op": "gh_exact", "error": "skipped-too-large"}
         rows.append(row)

@@ -16,6 +16,7 @@ All comparisons against stated hypotheses use the global ``TOLERANCE``.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -91,9 +92,10 @@ class MetricGraph:
 
     Instances are built through :func:`build_graph`, which validates the
     input and keeps the sparse vertex skeleton that distance searches run
-    on. The dense vertex-to-vertex matrix ``vertex_distances`` is built on
-    first use and cached; only point-pair queries and the continuum
-    diameter read it.
+    on. ``edge_u``, ``edge_v`` (vertex indices of the endpoints) and
+    ``edge_length`` are read-only arrays in edge order. The dense
+    vertex-to-vertex matrix ``vertex_distances`` is built on first use and
+    cached; only point-pair queries and the continuum diameter read it.
     """
 
     __slots__ = (
@@ -101,6 +103,9 @@ class MetricGraph:
         "edges",
         "vertex_index",
         "edge_index",
+        "edge_u",
+        "edge_v",
+        "edge_length",
         "_skeleton",
         "_vertex_distances",
         "_degree",
@@ -117,6 +122,11 @@ class MetricGraph:
         self.edges = edges
         self.vertex_index = {v: i for i, v in enumerate(vertices)}
         self.edge_index = {e.id: i for i, e in enumerate(edges)}
+        self.edge_u = np.array([self.vertex_index[e.u] for e in edges], dtype=np.int64)
+        self.edge_v = np.array([self.vertex_index[e.v] for e in edges], dtype=np.int64)
+        self.edge_length = np.array([e.length for e in edges], dtype=float)
+        for a in (self.edge_u, self.edge_v, self.edge_length):
+            a.flags.writeable = False
         self._skeleton = skeleton
         self._vertex_distances: np.ndarray | None = None
         degree = {v: 0 for v in vertices}
@@ -191,7 +201,7 @@ def build_graph(
         if v not in vindex:
             raise UnknownEndpoint(f"edge {eid!r} references unknown vertex {v!r}")
         length = float(length)
-        if not np.isfinite(length) or length <= 0.0:
+        if not math.isfinite(length) or length <= 0.0:
             raise NonPositiveEdgeLength(f"edge {eid!r} has length {length}")
         built.append(Edge(eid, u, v, length))
 
@@ -251,7 +261,7 @@ def edge_point(G: MetricGraph, edge_id: str, offset: float) -> GraphPoint:
     """Canonical point at ``offset`` along an edge (measured from its u end)."""
     e = G.edge(edge_id)
     offset = float(offset)
-    if not np.isfinite(offset) or offset < -TOLERANCE or offset > e.length + TOLERANCE:
+    if not math.isfinite(offset) or offset < -TOLERANCE or offset > e.length + TOLERANCE:
         raise PointNotOnGraph(
             f"offset {offset} outside [0, {e.length}] on edge {edge_id!r}"
         )
@@ -333,18 +343,28 @@ def _validate_point(G: MetricGraph, p: GraphPoint) -> GraphPoint:
 
 def _fields(G: MetricGraph, pts: Sequence[GraphPoint]):
     """Edge index (-1 for a vertex), anchors a and b, offsets to a and to b."""
-    rows = []
-    for p in pts:
-        if p.vertex is not None:
-            w = G.vertex_index[p.vertex]
-            rows.append((-1, w, w, 0.0, 0.0))
-        else:
-            e = G.edge(p.edge)  # raises on unknown edge
-            u, v = G.vertex_index[e.u], G.vertex_index[e.v]
-            rows.append((G.edge_index[p.edge], u, v, p.offset, e.length - p.offset))
-    table = np.array(rows, dtype=float).reshape(-1, 5)
-    idx = table[:, :3].astype(np.int64)
-    return idx[:, 0], idx[:, 1], idx[:, 2], table[:, 3], table[:, 4]
+    vidx, eidx = G.vertex_index, G.edge_index
+    rows = [
+        (-1, vidx[p.vertex], 0.0) if p.vertex is not None else (eidx.get(p.edge, -2), -1, p.offset)
+        for p in pts
+    ]
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    edge, w = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
+    if (edge == -2).any():
+        G.edge(pts[int(np.argmax(edge == -2))].edge)  # raises on the unknown edge
+    return _fields_from_arrays(G, edge, w, table[:, 2])
+
+
+def _fields_from_arrays(G: MetricGraph, edge, w, off):
+    """``_fields`` from edge indices, vertex indices (where edge is -1) and
+    offsets along the edges (ignored at vertices)."""
+    on = edge >= 0
+    a, b = w.copy(), w.copy()
+    a[on], b[on] = G.edge_u[edge[on]], G.edge_v[edge[on]]
+    off_a, off_b = np.zeros(len(edge)), np.zeros(len(edge))
+    off_a[on] = off[on]
+    off_b[on] = G.edge_length[edge[on]] - off[on]
+    return edge, a, b, off_a, off_b
 
 
 def pairwise_distances(
@@ -512,8 +532,7 @@ def graph_diameter(G: MetricGraph) -> float:
     if not G.edges:
         return 0.0
     D = G.vertex_distances
-    u, v = np.array([(G.vertex_index[e.u], G.vertex_index[e.v]) for e in G.edges]).T
-    l = np.array([e.length for e in G.edges])
+    u, v, l = G.edge_u, G.edge_v, G.edge_length
     best = max(float(D.max()), _same_edge_max(D[u, v], l))
     a, b = np.triu_indices(len(l), k=1)
     ua, va, ub, vb = u[a], v[a], u[b], v[b]

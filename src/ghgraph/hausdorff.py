@@ -8,24 +8,26 @@ by edge intervals) are suprema over the continuum: on each edge the
 distance to a finite source set is a lower envelope of functions that are
 affine with slopes +1 or -1, so the supremum sits at an endpoint or where
 an ascending piece crosses a descending one. Those crossings form a small
-closed-form candidate set, which is evaluated exactly; nothing is sampled.
+closed-form candidate set per edge; the candidates of all edges are built
+and evaluated exactly in one array pass, and nothing is sampled.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import numpy as np
 
-from .errors import EmptyRegion, EmptySet
+from .errors import EmptyRegion, EmptySet, PointNotOnGraph
 from .graph import (
+    TOLERANCE,
     EdgeIntervalSet,
-    GraphPoint,
     MetricGraph,
     PointSet,
     _distance_field,
     _fields,
+    _fields_from_arrays,
+    _same_edge_gap,
     _set_distances,
     boundary,
-    edge_point,
 )
 
 __all__ = [
@@ -61,76 +63,56 @@ def hausdorff_sets(G: MetricGraph, A: PointSet, B: PointSet) -> float:
 # On an edge e = (u, v, l), d(s, A) is the lower envelope given above
 # _distance_field in graph.py. Its candidate maxima are crossings between
 # the ascending pieces {s + d(u,A), s - t} and the descending ones
-# {(l-s) + d(v,A), t - s}, with t over the offsets of A on e.
+# {(l-s) + d(v,A), t - s}, with t over the offsets of A on e: per edge 0, l
+# and (l + d(v,A) - d(u,A))/2; per source t, (t - d(u,A))/2,
+# (l + d(v,A) + t)/2 and t itself; per pair of neighbouring sources their
+# midpoint; and both ends of each excluded interval. The candidates of all
+# edges are evaluated at once.
 
 
-def _edge_envelope_max(
-    l: float,
-    au: float,
-    av: float,
-    ts: list[float],
-    excluded: list[tuple[float, float]] | None = None,
-) -> float:
-    def value(s: float) -> float:
-        if excluded:
-            for lo, hi in excluded:
-                if lo <= s <= hi:
-                    return 0.0
-        best = min(s + au, (l - s) + av)
-        if ts:
-            k = bisect_left(ts, s)
-            if k < len(ts):
-                best = min(best, ts[k] - s)
-            if k > 0:
-                best = min(best, s - ts[k - 1])
-        return best
-
-    cands = [0.0, l, (l + av - au) / 2.0]
-    for t in ts:
-        cands.append((t - au) / 2.0)
-        cands.append((l + av + t) / 2.0)
-        cands.append(t)
-    for t1, t2 in zip(ts, ts[1:]):
-        cands.append((t1 + t2) / 2.0)
-    if excluded:
-        for lo, hi in excluded:
-            cands.append(lo)
-            cands.append(hi)
-    best = 0.0
-    for s in cands:
-        if 0.0 <= s <= l:
-            val = value(s)
-            if val > best:
-                best = val
-    return best
-
-
-def _sup_distance_to_sources(
-    G: MetricGraph,
-    sources: PointSet,
-    excluded_by_edge: dict[str, list[tuple[float, float]]] | None = None,
-) -> float:
-    vdist = _distance_field(G, _fields(G, sources))
+def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
+    """sup over the graph of the distance to the sources whose ``_fields``
+    are fa, taken as 0 on the closed intervals ``excluded`` = (edge, lo, hi)."""
+    vdist = _distance_field(G, fa)
     if not G.edges:
         return float(vdist.max())
-    on_edge: dict[str, list[float]] = {}
-    for p in sources:
-        if p.edge is not None:
-            on_edge.setdefault(p.edge, []).append(p.offset)
-    best = 0.0
-    for e in G.edges:
-        ts = sorted(on_edge.get(e.id, ()))
-        excluded = (excluded_by_edge or {}).get(e.id)
-        val = _edge_envelope_max(
-            e.length,
-            float(vdist[G.vertex_index[e.u]]),
-            float(vdist[G.vertex_index[e.v]]),
-            ts,
-            excluded,
-        )
-        if val > best:
-            best = val
-    return best
+    u, v, l = G.edge_u, G.edge_v, G.edge_length
+    au, av = vdist[u], vdist[v]
+    src_e, src_t = fa[0], fa[3]
+    keys = np.unique(src_e[src_e >= 0] + 1j * src_t[src_e >= 0])
+    te, t = keys.real.astype(np.int64), keys.imag
+    pair = te[1:] == te[:-1]
+    xe, lo, hi = excluded if excluded is not None else (te[:0], t[:0], t[:0])
+    edges = np.arange(len(l))
+    ce = np.concatenate([edges, edges, edges, te, te, te, te[1:][pair], xe, xe])
+    cs = np.concatenate(
+        [
+            np.zeros(len(l)),
+            l,
+            (l + av - au) / 2.0,
+            (t - au[te]) / 2.0,
+            (l[te] + av[te] + t) / 2.0,
+            t,
+            (t[:-1][pair] + t[1:][pair]) / 2.0,
+            lo,
+            hi,
+        ]
+    )
+    keep = (0.0 <= cs) & (cs <= l[ce])
+    ce, cs = ce[keep], cs[keep]
+    val = np.minimum(cs + au[ce], (l[ce] - cs) + av[ce])
+    val = np.minimum(val, _same_edge_gap(ce, cs, src_e, src_t))
+    if len(xe):
+        # s lies in some [lo, hi] of its edge iff more of that edge's
+        # intervals start at or before s than end before it; counting, not
+        # a lookup of the preceding interval, stays exact when intervals
+        # overlap, and holds only for those with lo <= hi (others cover nothing)
+        ok = lo <= hi
+        q = ce + 1j * cs
+        starts = np.searchsorted(np.sort(xe[ok] + 1j * lo[ok]), q, side="right")
+        ends = np.searchsorted(np.sort(xe[ok] + 1j * hi[ok]), q, side="left")
+        val[starts > ends] = 0.0
+    return float(np.max(val, initial=0.0))
 
 
 def hausdorff_graph_to_set(G: MetricGraph, A: PointSet) -> float:
@@ -141,22 +123,46 @@ def hausdorff_graph_to_set(G: MetricGraph, A: PointSet) -> float:
     """
     if len(A) == 0:
         raise EmptySet("Hausdorff distance to an empty point set")
-    return _sup_distance_to_sources(G, A)
+    return _sup_distance(G, _fields(G, A))
+
+
+def _region_sources(G: MetricGraph, W: EdgeIntervalSet):
+    """``_fields`` of W's vertices and of its interval ends, snapped to the
+    edge's vertices as ``edge_point`` snaps them, and the intervals as
+    (edge, lo, hi) arrays."""
+    items = [(eid, ivs) for eid, ivs in W.intervals.items() if ivs]
+    try:
+        idx = [G.edge_index[eid] for eid, _ in items]
+    except KeyError as err:
+        raise PointNotOnGraph(f"unknown edge id {err.args[0]!r}") from None
+    xe = np.repeat(np.array(idx, dtype=np.int64), [len(ivs) for _, ivs in items])
+    lohi = np.array([iv for _, ivs in items for iv in ivs], dtype=float).reshape(-1, 2)
+    edge, off = np.concatenate([xe, xe]), np.concatenate([lohi[:, 0], lohi[:, 1]])
+    l = G.edge_length[edge]
+    bad = ~np.isfinite(off) | (off < -TOLERANCE) | (off > l + TOLERANCE)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise PointNotOnGraph(
+            f"offset {float(off[k])} outside [0, {float(l[k])}] on edge {G.edges[edge[k]].id!r}"
+        )
+    at_u, at_v = off <= TOLERANCE, off >= l - TOLERANCE
+    w = np.where(at_u, G.edge_u[edge], G.edge_v[edge])
+    verts = np.array([G.vertex_index[v] for v in W.vertices], dtype=np.int64)
+    fa = _fields_from_arrays(
+        G,
+        np.concatenate([np.full(len(verts), -1), np.where(at_u | at_v, -1, edge)]),
+        np.concatenate([verts, w]),
+        np.concatenate([np.zeros(len(verts)), off]),
+    )
+    return fa, (xe, lohi[:, 0], lohi[:, 1])
 
 
 def hausdorff_graph_to_region(G: MetricGraph, W: EdgeIntervalSet) -> float:
     """sup over the graph of the distance to the closure of the region W."""
     if W.is_empty:
         raise EmptyRegion("Hausdorff distance to an empty region")
-    pts: list[GraphPoint] = [GraphPoint(vertex=v) for v in W.vertices]
-    excluded: dict[str, list[tuple[float, float]]] = {}
-    for eid, ivs in W.intervals.items():
-        for lo, hi in ivs:
-            pts.append(edge_point(G, eid, lo))
-            pts.append(edge_point(G, eid, hi))
-            excluded.setdefault(eid, []).append((lo, hi))
-    sources = PointSet(pts)
-    return _sup_distance_to_sources(G, sources, excluded)
+    fa, excluded = _region_sources(G, W)
+    return _sup_distance(G, fa, excluded)
 
 
 def directed_hausdorff_boundary(G: MetricGraph, A: PointSet) -> float:

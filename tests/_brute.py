@@ -4,8 +4,10 @@ Everything here is deliberately naive and independent of the code under test:
 explicit Dijkstra over an adjacency list, exhaustive search over all pairs of
 covering maps, double loops for distortion. The continuum diameter reference
 is the scalar edge-pair loop; it reads the graph's own ``vertex_distances``,
-so it checks the candidate search, not the vertex distances. The exact GH
-search reference is the float forward-check search the pair-bitmask search
+so it checks the candidate search, not the vertex distances. The continuum
+Hausdorff reference is the scalar per-edge envelope loop; it reads the
+graph's own multi-source distance field, so it checks the envelope, not the
+field. The exact GH search reference is the float forward-check search the pair-bitmask search
 replaced; it walks the same tree and counts the same assignments.
 """
 
@@ -14,8 +16,12 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+from bisect import bisect_left
 
 import numpy as np
+
+import ghgraph as gg
+from ghgraph.graph import _distance_field
 
 
 def dijkstra(vertex_ids, edge_list, src):
@@ -153,6 +159,104 @@ def graph_diameter(G):
         for e2 in G.edges[i + 1 :]:
             best = max(best, _diameter_pair(G, e1, e2))
     return best
+
+
+# --------------------------------------------------------------------------
+# continuum Hausdorff distances: the scalar per-edge envelope loop, kept
+# frozen as the reference the array pass in ``ghgraph.hausdorff`` must match
+# exactly
+
+
+def _point_fields(G, pts):
+    rows = []
+    for p in pts:
+        if p.vertex is not None:
+            w = G.vertex_index[p.vertex]
+            rows.append((-1, w, w, 0.0, 0.0))
+        else:
+            e = G.edge(p.edge)
+            u, v = G.vertex_index[e.u], G.vertex_index[e.v]
+            rows.append((G.edge_index[p.edge], u, v, p.offset, e.length - p.offset))
+    table = np.array(rows, dtype=float).reshape(-1, 5)
+    idx = table[:, :3].astype(np.int64)
+    return idx[:, 0], idx[:, 1], idx[:, 2], table[:, 3], table[:, 4]
+
+
+def _edge_envelope_max(l, au, av, ts, excluded=None):
+    def value(s):
+        if excluded:
+            for lo, hi in excluded:
+                if lo <= s <= hi:
+                    return 0.0
+        best = min(s + au, (l - s) + av)
+        if ts:
+            k = bisect_left(ts, s)
+            if k < len(ts):
+                best = min(best, ts[k] - s)
+            if k > 0:
+                best = min(best, s - ts[k - 1])
+        return best
+
+    cands = [0.0, l, (l + av - au) / 2.0]
+    for t in ts:
+        cands.append((t - au) / 2.0)
+        cands.append((l + av + t) / 2.0)
+        cands.append(t)
+    for t1, t2 in zip(ts, ts[1:]):
+        cands.append((t1 + t2) / 2.0)
+    if excluded:
+        for lo, hi in excluded:
+            cands.append(lo)
+            cands.append(hi)
+    best = 0.0
+    for s in cands:
+        if 0.0 <= s <= l:
+            val = value(s)
+            if val > best:
+                best = val
+    return best
+
+
+def _sup_distance_to_sources(G, sources, excluded_by_edge=None):
+    vdist = _distance_field(G, _point_fields(G, sources))
+    if not G.edges:
+        return float(vdist.max())
+    on_edge = {}
+    for p in sources:
+        if p.edge is not None:
+            on_edge.setdefault(p.edge, []).append(p.offset)
+    best = 0.0
+    for e in G.edges:
+        ts = sorted(on_edge.get(e.id, ()))
+        excluded = (excluded_by_edge or {}).get(e.id)
+        val = _edge_envelope_max(
+            e.length,
+            float(vdist[G.vertex_index[e.u]]),
+            float(vdist[G.vertex_index[e.v]]),
+            ts,
+            excluded,
+        )
+        if val > best:
+            best = val
+    return best
+
+
+def hausdorff_graph_to_set(G, A):
+    """sup over the graph of the distance to A, one edge at a time."""
+    return _sup_distance_to_sources(G, A)
+
+
+def hausdorff_graph_to_region(G, W):
+    """sup over the graph of the distance to the closure of W, with the
+    interval ends made points by ``edge_point``."""
+    pts = [gg.GraphPoint(vertex=v) for v in W.vertices]
+    excluded = {}
+    for eid, ivs in W.intervals.items():
+        for lo, hi in ivs:
+            pts.append(gg.edge_point(G, eid, lo))
+            pts.append(gg.edge_point(G, eid, hi))
+            excluded.setdefault(eid, []).append((lo, hi))
+    return _sup_distance_to_sources(G, gg.PointSet(pts), excluded)
 
 
 # --------------------------------------------------------------------------

@@ -279,18 +279,18 @@ def test_construct_circle6_bad_epsilon_exit(capsys):
 # experiment
 
 
+THETA_DOC = {
+    "vertices": ["p", "q"],
+    "edges": [
+        {"id": "e1", "u": "p", "v": "q", "length": 1.0},
+        {"id": "e2", "u": "p", "v": "q", "length": 1.2},
+        {"id": "e3", "u": "p", "v": "q", "length": 1.4},
+    ],
+}
+
+
 def test_experiment_ratio_deterministic(capsys, tmp_path):
-    graph = _write(
-        tmp_path / "t.json",
-        {
-            "vertices": ["p", "q"],
-            "edges": [
-                {"id": "e1", "u": "p", "v": "q", "length": 1.0},
-                {"id": "e2", "u": "p", "v": "q", "length": 1.2},
-                {"id": "e3", "u": "p", "v": "q", "length": 1.4},
-            ],
-        },
-    )
+    graph = _write(tmp_path / "t.json", THETA_DOC)
     argv = [
         "experiment",
         "ratio",
@@ -315,6 +315,21 @@ def test_experiment_ratio_deterministic(capsys, tmp_path):
     for row in doc["rows"]:
         assert "d_H" in row and "oracle" in row and row["certificates"]
     assert set(doc["levels"]) == {"e_over_12", "e_over_8"}
+
+
+def test_experiment_guard_keeps_bracket(capsys, tmp_path):
+    # a tripped oracle guard reports the [floor, incumbent] the search had
+    # reached, and that bracket holds the value an unguarded run finds
+    graph = _write(tmp_path / "t.json", THETA_DOC)
+    argv = ["experiment", "ratio", "--graph", graph, "--samples", "3", "--density", "1.0", "--seed", "7"]
+    code, guarded = _run(capsys, argv + ["--guard", "1"])
+    assert code == 0
+    code, full = _run(capsys, argv)
+    assert code == 0
+    for row, ref in zip(guarded["rows"], full["rows"], strict=True):
+        assert row["oracle"]["error"] == "guard-exceeded"
+        lo, hi = row["oracle"]["bracket"]
+        assert lo <= ref["oracle"]["value"] <= hi
 
 
 def test_experiment_different_seeds_differ(capsys, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _brute
 import ghgraph as gg
 from ghgraph import graph as graph_mod
 from ghgraph import hausdorff as hausdorff_mod
@@ -155,6 +156,73 @@ def test_graph_to_region_empty(segment01):
 
 
 # --------------------------------------------------------------------------
+# the array envelope against the frozen per-edge scalar loop
+
+
+def _draw_multigraph(draw, length):
+    # a random spanning tree plus extra edges with free endpoints, so
+    # self-loops and parallel edges occur
+    n = draw(st.integers(1, 4))
+    edges = [(f"t{i}", f"v{draw(st.integers(0, i - 1))}", f"v{i}", draw(length)) for i in range(1, n)]
+    for i in range(draw(st.integers(1 if n == 1 else 0, 4))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        edges.append((f"x{i}", f"v{u}", f"v{v}", draw(length)))
+    return n, edges, gg.build_graph([f"v{i}" for i in range(n)], edges)
+
+
+@st.composite
+def _multigraph_with_region(draw):
+    # sources mix vertices and points on the edges, often two on one edge
+    # and none on others; the hand-built region has intervals that may
+    # overlap and whose ends may lie within TOLERANCE of 0 or l (inside or
+    # just outside the edge), so that snapping runs
+    n, _, G = _draw_multigraph(draw, st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 3.0))
+    share = st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)
+    point = st.one_of(
+        st.builds(lambda v: f"v{v}", st.integers(0, n - 1)),
+        st.tuples(st.sampled_from(G.edges), share).map(lambda p: (p[0].id, p[1] * p[0].length)),
+    )
+    A = gg.point_set(G, draw(st.lists(point, min_size=1, max_size=6)))
+    tol = gg.TOLERANCE
+    intervals = {}
+    for e in G.edges:
+        end = st.sampled_from([0.0, tol / 2, -tol / 2, e.length, e.length - tol / 2, e.length + tol / 2])
+        end = end | share.map(lambda x: x * e.length)
+        ivs = draw(st.lists(st.tuples(end, end).map(sorted).map(tuple), max_size=3))
+        if ivs:
+            intervals[e.id] = tuple(ivs)
+    vertices = frozenset(draw(st.lists(st.sampled_from(G.vertices), max_size=2)))
+    W = gg.EdgeIntervalSet(intervals, vertices or frozenset(G.vertices[:1]))
+    r = draw(st.floats(0.05, 2.0))
+    return G, A, W, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_multigraph_with_region())
+def test_continuum_suprema_match_scalar_reference(case):
+    G, A, W, r = case
+    assert gg.hausdorff_graph_to_set(G, A) == _brute.hausdorff_graph_to_set(G, A)
+    assert gg.hausdorff_graph_to_region(G, W) == _brute.hausdorff_graph_to_region(G, W)
+    T = gg.thickening(G, A, r)
+    assert gg.hausdorff_graph_to_region(G, T) == _brute.hausdorff_graph_to_region(G, T)
+
+
+@pytest.mark.parametrize(
+    "intervals",
+    [
+        {"b": ((0.2, 1.0 + 2 * TAU),)},
+        {"b": ((-2 * TAU, 0.5),)},
+        {"b": ((0.2, math.nan),)},
+        {"b": ((0.2, 0.5),), "nope": ((0.1, 0.2),)},
+    ],
+)
+def test_graph_to_region_rejects_points_off_the_graph(multi, intervals):
+    W = gg.EdgeIntervalSet(intervals, frozenset())
+    with pytest.raises(gg.PointNotOnGraph):
+        gg.hausdorff_graph_to_region(multi, W)
+
+
+# --------------------------------------------------------------------------
 # boundary
 
 
@@ -215,16 +283,9 @@ def test_graph_to_set_dominates_set_to_set(offs):
 
 @st.composite
 def _multigraph_with_sets(draw):
-    # a random spanning tree plus extra edges with free endpoints, so
-    # self-loops and parallel edges occur; points mix vertices, interior
-    # points, and points on the edges (self-loops included) of each other
-    n = draw(st.integers(1, 4))
-    length = st.floats(0.25, 3.0)
-    edges = [(f"t{i}", f"v{draw(st.integers(0, i - 1))}", f"v{i}", draw(length)) for i in range(1, n)]
-    for i in range(draw(st.integers(1 if n == 1 else 0, 4))):
-        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
-        edges.append((f"x{i}", f"v{u}", f"v{v}", draw(length)))
-    G = gg.build_graph([f"v{i}" for i in range(n)], edges)
+    # points mix vertices, interior points, and points on the edges
+    # (self-loops included) of each other
+    n, edges, G = _draw_multigraph(draw, st.floats(0.25, 3.0))
     point = st.one_of(
         st.builds(lambda v: f"v{v}", st.integers(0, n - 1)),
         st.tuples(st.integers(0, len(edges) - 1), st.floats(0.01, 0.99)).map(
