@@ -22,6 +22,7 @@ exceeded, 5 construction verification failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -458,6 +459,7 @@ def _cmd_experiment(args: argparse.Namespace) -> dict:
 # entry point
 
 
+@functools.cache  # one parser per process: building it is most of a small request
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="ghgraph",

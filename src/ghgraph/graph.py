@@ -273,9 +273,18 @@ def edge_point(G: MetricGraph, edge_id: str, offset: float) -> GraphPoint:
 
 
 class PointSet:
-    """An ordered, deduplicated collection of canonical graph points."""
+    """An ordered, deduplicated collection of canonical graph points.
 
-    __slots__ = ("points",)
+    A set made by :func:`point_set` holds read-only columns for the graph it
+    was built on: the edge index (-1 at a vertex), the vertex index (-1 on
+    an edge) and the offset along the edge (0 at a vertex). Distance code
+    reads the columns; ``points``, iteration and indexing build the
+    :class:`GraphPoint` views from them on first use, once. A set made
+    directly from points, ``PointSet(points)``, holds those points and no
+    graph. Equality and hash are those of the set of points either way.
+    """
+
+    __slots__ = ("_graph", "_edge", "_vertex", "_offset", "_points")
 
     def __init__(self, points: Iterable[GraphPoint]):
         seen: set[GraphPoint] = set()
@@ -284,10 +293,29 @@ class PointSet:
             if p not in seen:
                 seen.add(p)
                 kept.append(p)
-        self.points = tuple(kept)
+        self._points: tuple[GraphPoint, ...] | None = tuple(kept)
+        self._graph = self._edge = self._vertex = self._offset = None
+
+    @classmethod
+    def _from_columns(cls, G: MetricGraph, edge, vertex, offset) -> "PointSet":
+        A = cls.__new__(cls)
+        for a in (edge, vertex, offset):
+            a.flags.writeable = False
+        A._graph, A._edge, A._vertex, A._offset, A._points = G, edge, vertex, offset, None
+        return A
+
+    @property
+    def points(self) -> tuple[GraphPoint, ...]:
+        if self._points is None:
+            vs, es = self._graph.vertices, self._graph.edges
+            self._points = tuple(
+                GraphPoint(vertex=vs[w]) if e < 0 else GraphPoint(edge=es[e].id, offset=t)
+                for e, w, t in zip(self._edge.tolist(), self._vertex.tolist(), self._offset.tolist())
+            )
+        return self._points
 
     def __len__(self) -> int:
-        return len(self.points)
+        return len(self._edge) if self._points is None else len(self._points)
 
     def __iter__(self) -> Iterator[GraphPoint]:
         return iter(self.points)
@@ -305,29 +333,104 @@ class PointSet:
         return hash(frozenset(self.points))
 
     def __repr__(self) -> str:
-        return f"PointSet({len(self.points)} points)"
+        return f"PointSet({len(self)} points)"
 
 
 def point_set(G: MetricGraph, specs: Iterable[GraphPoint | tuple | str]) -> PointSet:
-    """Build a point set from points, ``(edge_id, offset)`` pairs, or vertex ids."""
-    pts: list[GraphPoint] = []
-    for s in specs:
-        if isinstance(s, GraphPoint):
-            pts.append(_validate_point(G, s))
-        elif isinstance(s, str):
-            pts.append(vertex_point(G, s))
+    """Build a point set from points, ``(edge_id, offset)`` pairs, or vertex ids.
+
+    Each spec is checked and snapped as :func:`edge_point` and
+    :func:`vertex_point` do, and raises what they raise for the first bad
+    spec in input order; a repeated point keeps its first position.
+    """
+    edge, vertex, offset = _columns(G, specs)
+    key = np.where(edge >= 0, edge, -1 - vertex) + 1j * offset
+    first = np.sort(np.unique(key, return_index=True)[1])
+    return PointSet._from_columns(G, edge[first], vertex[first], offset[first])
+
+
+def _columns(G: MetricGraph, specs: Iterable[GraphPoint | tuple | str]):
+    """(edge, vertex, offset) columns of point specs, in input order, each
+    checked and snapped to a vertex as ``edge_point`` does; -2 marks an id
+    the graph lacks, or a spec of the wrong shape, until the check."""
+    specs = list(specs)
+    vget, eget = G.vertex_index.get, G.edge_index.get
+    rows = [
+        (eget(s[0], -2), -1, s[1]) if type(s) is tuple and len(s) == 2
+        else (-1, vget(s, -2), 0.0) if isinstance(s, str)
+        else _spec_row(vget, eget, s)
+        for s in specs
+    ]
+    flat = itertools.chain.from_iterable(rows)
+    try:
+        table = np.fromiter(flat, float, count=3 * len(rows)).reshape(-1, 3)
+    except (TypeError, ValueError, OverflowError):
+        # an offset float() rejects: NaN fails the check below, and
+        # edge_point then raises float()'s own error for it
+        table = np.array([(e, w, _float_or_nan(t)) for e, w, t in rows]).reshape(-1, 3)
+    edge, vertex, offset = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
+    edge, vertex, offset, bad = _snapped(G, edge, vertex, offset)
+    if bad is not None:
+        _raise_for_spec(G, specs[bad])
+    return edge, vertex, offset
+
+
+def _spec_row(vget, eget, s):
+    """The row of a ``GraphPoint`` or of an ``(edge_id, offset)`` sequence
+    other than a tuple; a spec of another shape gets -2."""
+    if isinstance(s, GraphPoint):
+        if s.vertex is not None:
+            return -1, vget(s.vertex, -2), 0.0
+        return eget(s.edge, -2), -1, s.offset
+    try:
+        eid, off = s
+    except (TypeError, ValueError):
+        return -2, -1, 0.0
+    return eget(eid, -2), -1, off
+
+
+def _float_or_nan(x) -> float:
+    try:
+        return float(x)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _snapped(G: MetricGraph, edge, vertex, offset):
+    """Point columns with on-edge offsets within ``TOLERANCE`` of an end
+    made that end's vertex, as ``edge_point`` makes them, and the first row
+    that ``edge_point`` or ``vertex_point`` rejects (None if none): an
+    unknown id (-2), or an offset outside the edge or not finite."""
+    on = edge >= 0
+    l = np.zeros(len(edge))
+    l[on] = G.edge_length[edge[on]]
+    bad = (edge == -2) | (vertex == -2)
+    bad |= on & (~np.isfinite(offset) | (offset < -TOLERANCE) | (offset > l + TOLERANCE))
+    if bad.any():
+        return edge, vertex, offset, int(np.argmax(bad))
+    at_u = on & (offset <= TOLERANCE)
+    at_v = on & ~at_u & (offset >= l - TOLERANCE)
+    vertex = vertex.copy()
+    vertex[at_u], vertex[at_v] = G.edge_u[edge[at_u]], G.edge_v[edge[at_v]]
+    edge = np.where(at_u | at_v, -1, edge)
+    return edge, vertex, np.where(edge >= 0, offset, 0.0), None
+
+
+def _raise_for_spec(G: MetricGraph, s) -> None:
+    """Raise what the scalar constructors raise for the rejected spec s."""
+    if isinstance(s, GraphPoint):
+        if s.vertex is not None:
+            vertex_point(G, s.vertex)
+        elif s.edge is None:
+            raise PointNotOnGraph("point has neither vertex nor edge")
         else:
-            eid, off = s
-            pts.append(edge_point(G, eid, off))
-    return PointSet(pts)
-
-
-def _validate_point(G: MetricGraph, p: GraphPoint) -> GraphPoint:
-    if p.vertex is not None:
-        return vertex_point(G, p.vertex)
-    if p.edge is None:
-        raise PointNotOnGraph("point has neither vertex nor edge")
-    return edge_point(G, p.edge, p.offset)
+            edge_point(G, s.edge, s.offset)
+    elif isinstance(s, str):
+        vertex_point(G, s)
+    else:
+        eid, off = s
+        edge_point(G, eid, off)
+    raise PointNotOnGraph(f"point spec {s!r} is not on the graph")
 
 
 # --------------------------------------------------------------------------
@@ -341,18 +444,15 @@ def _validate_point(G: MetricGraph, p: GraphPoint) -> GraphPoint:
 # include the complementary arc through the basepoint).
 
 
-def _fields(G: MetricGraph, pts: Sequence[GraphPoint]):
-    """Edge index (-1 for a vertex), anchors a and b, offsets to a and to b."""
-    vidx, eidx = G.vertex_index, G.edge_index
-    rows = [
-        (-1, vidx[p.vertex], 0.0) if p.vertex is not None else (eidx.get(p.edge, -2), -1, p.offset)
-        for p in pts
-    ]
-    table = np.array(rows, dtype=float).reshape(-1, 3)
-    edge, w = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64)
-    if (edge == -2).any():
-        G.edge(pts[int(np.argmax(edge == -2))].edge)  # raises on the unknown edge
-    return _fields_from_arrays(G, edge, w, table[:, 2])
+def _fields(G: MetricGraph, pts: Sequence[GraphPoint] | PointSet):
+    """Edge index (-1 for a vertex), anchors a and b, offsets to a and to b.
+
+    A set built on G is a gather from its columns; any other points (a
+    sequence, a set made without a graph or on another graph) are checked
+    on G as ``point_set`` checks them."""
+    if isinstance(pts, PointSet) and pts._graph is G:
+        return _fields_from_arrays(G, pts._edge, pts._vertex, pts._offset)
+    return _fields_from_arrays(G, *_columns(G, pts))
 
 
 def _fields_from_arrays(G: MetricGraph, edge, w, off):
@@ -373,12 +473,11 @@ def pairwise_distances(
     B: Sequence[GraphPoint] | PointSet,
 ) -> np.ndarray:
     """Full |A| x |B| matrix of geodesic distances."""
-    pa, pb = list(A), list(B)
-    if not pa or not pb:
+    if len(A) == 0 or len(B) == 0:
         raise EmptySet("distance against an empty point collection")
+    ea, aa, ba, oa, ob = _fields(G, A)
+    eb, ab, bb, qa, qb = _fields(G, B)
     D = G.vertex_distances
-    ea, aa, ba, oa, ob = _fields(G, pa)
-    eb, ab, bb, qa, qb = _fields(G, pb)
     oa, ob = oa[:, None], ob[:, None]
     out = oa + D[aa[:, None], ab[None, :]] + qa[None, :]
     np.minimum(out, oa + D[aa[:, None], bb[None, :]] + qb[None, :], out=out)
@@ -392,7 +491,7 @@ def pairwise_distances(
 
 def point_distance(G: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
     """Geodesic distance between two points."""
-    pq = pairwise_distances(G, [_validate_point(G, p)], [_validate_point(G, q)])
+    pq = pairwise_distances(G, [p], [q])
     return float(pq[0, 0])
 
 
@@ -748,24 +847,6 @@ def whole_graph_region(G: MetricGraph) -> EdgeIntervalSet:
     )
 
 
-def _merge_open(raw: list[tuple[float, float]]) -> tuple[tuple[float, float], ...]:
-    """Union of open intervals; merge only on strict overlap.
-
-    Two open intervals that merely touch at a point leave that point
-    uncovered, so they stay separate fragments.
-    """
-    raw = sorted((lo, hi) for lo, hi in raw if hi > lo)
-    if not raw:
-        return ()
-    merged = [list(raw[0])]
-    for lo, hi in raw[1:]:
-        if lo < merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return tuple((lo, hi) for lo, hi in merged)
-
-
 def thickening(G: MetricGraph, A: PointSet, r: float) -> EdgeIntervalSet:
     """Union of open balls of radius ``r`` around the members of ``A``.
 
@@ -779,26 +860,31 @@ def thickening(G: MetricGraph, A: PointSet, r: float) -> EdgeIntervalSet:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
     if len(A) == 0:
         raise EmptySet("thickening of an empty point set")
-    vdist = _distance_field(G, _fields(G, A))
-    vertices = frozenset(v for v, d in zip(G.vertices, vdist) if d < r)
-    on_edge: dict[str, list[float]] = {}
-    for p in A:
-        if p.edge is not None:
-            on_edge.setdefault(p.edge, []).append(p.offset)
-    intervals: dict[str, tuple[tuple[float, float], ...]] = {}
-    for e in G.edges:
-        raw: list[tuple[float, float]] = []
-        du = float(vdist[G.vertex_index[e.u]])
-        dv = float(vdist[G.vertex_index[e.v]])
-        if r - du > 0.0:
-            raw.append((0.0, min(e.length, r - du)))
-        if r - dv > 0.0:
-            raw.append((max(0.0, e.length - (r - dv)), e.length))
-        for t in on_edge.get(e.id, ()):
-            raw.append((max(0.0, t - r), min(e.length, t + r)))
-        merged = _merge_open(raw)
-        if merged:
-            intervals[e.id] = merged
+    fa = _fields(G, A)
+    vdist = _distance_field(G, fa)
+    vertices = frozenset(G.vertices[w] for w in np.flatnonzero(vdist < r))
+    # raw intervals from u, from v and around each source on an edge; one
+    # that is empty (hi <= lo) is dropped, which also drops those from an
+    # end farther than r from A
+    l, E, on = G.edge_length, np.arange(len(G.edges)), fa[0] >= 0
+    se, t = fa[0][on], fa[3][on]
+    edge = np.concatenate([E, E, se])
+    lo = np.concatenate([np.zeros(len(E)), np.maximum(0.0, l - (r - vdist[G.edge_v])), np.maximum(0.0, t - r)])
+    hi = np.concatenate([np.minimum(l, r - vdist[G.edge_u]), l, np.minimum(l[se], t + r)])
+    keep = hi > lo
+    order = np.lexsort((hi[keep], lo[keep], edge[keep]))
+    edge, lo, hi = edge[keep][order], lo[keep][order], hi[keep][order]
+    # merge open intervals on strict overlap only: two that merely touch
+    # leave that point uncovered. The running maximum of edge + i hi is the
+    # end of the fragment open on the row's edge, if any.
+    reach = np.maximum.accumulate(edge + 1j * hi)
+    new = np.ones(len(edge), dtype=bool)
+    new[1:] = (edge[1:] != reach[:-1].real) | (lo[1:] >= reach[:-1].imag)
+    start = np.flatnonzero(new)
+    frags = list(zip(lo[start].tolist(), np.maximum.reduceat(hi, start).tolist()))
+    fe, first = np.unique(edge[start], return_index=True)
+    cut = np.append(first, len(start)).tolist()
+    intervals = {G.edges[e].id: tuple(frags[i:j]) for e, i, j in zip(fe.tolist(), cut, cut[1:])}
     return EdgeIntervalSet(intervals, vertices)
 
 

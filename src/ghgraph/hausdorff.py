@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import EmptyRegion, EmptySet, PointNotOnGraph
 from .graph import (
-    TOLERANCE,
     EdgeIntervalSet,
     MetricGraph,
     PointSet,
@@ -27,7 +26,9 @@ from .graph import (
     _fields_from_arrays,
     _same_edge_gap,
     _set_distances,
+    _snapped,
     boundary,
+    edge_point,
 )
 
 __all__ = [
@@ -127,9 +128,9 @@ def hausdorff_graph_to_set(G: MetricGraph, A: PointSet) -> float:
 
 
 def _region_sources(G: MetricGraph, W: EdgeIntervalSet):
-    """``_fields`` of W's vertices and of its interval ends, snapped to the
-    edge's vertices as ``edge_point`` snaps them, and the intervals as
-    (edge, lo, hi) arrays."""
+    """``_fields`` of W's vertices and of its interval ends, checked and
+    snapped to the edge's vertices as ``edge_point`` does, and the intervals
+    as (edge, lo, hi) arrays."""
     items = [(eid, ivs) for eid, ivs in W.intervals.items() if ivs]
     try:
         idx = [G.edge_index[eid] for eid, _ in items]
@@ -138,19 +139,13 @@ def _region_sources(G: MetricGraph, W: EdgeIntervalSet):
     xe = np.repeat(np.array(idx, dtype=np.int64), [len(ivs) for _, ivs in items])
     lohi = np.array([iv for _, ivs in items for iv in ivs], dtype=float).reshape(-1, 2)
     edge, off = np.concatenate([xe, xe]), np.concatenate([lohi[:, 0], lohi[:, 1]])
-    l = G.edge_length[edge]
-    bad = ~np.isfinite(off) | (off < -TOLERANCE) | (off > l + TOLERANCE)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise PointNotOnGraph(
-            f"offset {float(off[k])} outside [0, {float(l[k])}] on edge {G.edges[edge[k]].id!r}"
-        )
-    at_u, at_v = off <= TOLERANCE, off >= l - TOLERANCE
-    w = np.where(at_u, G.edge_u[edge], G.edge_v[edge])
+    edge, w, off, bad = _snapped(G, edge, np.full(len(edge), -1), off)
+    if bad is not None:
+        edge_point(G, G.edges[edge[bad]].id, off[bad])
     verts = np.array([G.vertex_index[v] for v in W.vertices], dtype=np.int64)
     fa = _fields_from_arrays(
         G,
-        np.concatenate([np.full(len(verts), -1), np.where(at_u | at_v, -1, edge)]),
+        np.concatenate([np.full(len(verts), -1), edge]),
         np.concatenate([verts, w]),
         np.concatenate([np.zeros(len(verts)), off]),
     )

@@ -7,7 +7,9 @@ is the scalar edge-pair loop; it reads the graph's own ``vertex_distances``,
 so it checks the candidate search, not the vertex distances. The continuum
 Hausdorff reference is the scalar per-edge envelope loop; it reads the
 graph's own multi-source distance field, so it checks the envelope, not the
-field. The exact GH search reference is the float forward-check search the pair-bitmask search
+field. The point-set and thickening references are the per-spec
+``edge_point`` loop and the per-edge interval merge. The exact GH search
+reference is the float forward-check search the pair-bitmask search
 replaced; it walks the same tree and counts the same assignments.
 """
 
@@ -253,10 +255,123 @@ def hausdorff_graph_to_region(G, W):
     excluded = {}
     for eid, ivs in W.intervals.items():
         for lo, hi in ivs:
-            pts.append(gg.edge_point(G, eid, lo))
-            pts.append(gg.edge_point(G, eid, hi))
+            pts.append(edge_point(G, eid, lo))
+            pts.append(edge_point(G, eid, hi))
             excluded.setdefault(eid, []).append((lo, hi))
-    return _sup_distance_to_sources(G, gg.PointSet(pts), excluded)
+    return _sup_distance_to_sources(G, PointSet(pts), excluded)
+
+
+# --------------------------------------------------------------------------
+# point sets and thickenings: one scalar ``edge_point`` per spec, a set of
+# points for deduplication, and one ``_merge_open`` per edge, kept frozen as
+# the reference the columnar ``point_set`` and the array ``thickening`` in
+# ``ghgraph.graph`` must match exactly
+
+
+def vertex_point(G, v):
+    if v not in G.vertex_index:
+        raise gg.PointNotOnGraph(f"unknown vertex id {v!r}")
+    return gg.GraphPoint(vertex=v)
+
+
+def edge_point(G, edge_id, offset):
+    e = G.edge(edge_id)
+    offset = float(offset)
+    if not math.isfinite(offset) or offset < -gg.TOLERANCE or offset > e.length + gg.TOLERANCE:
+        raise gg.PointNotOnGraph(
+            f"offset {offset} outside [0, {e.length}] on edge {edge_id!r}"
+        )
+    if offset <= gg.TOLERANCE:
+        return gg.GraphPoint(vertex=e.u)
+    if offset >= e.length - gg.TOLERANCE:
+        return gg.GraphPoint(vertex=e.v)
+    return gg.GraphPoint(edge=edge_id, offset=offset)
+
+
+class PointSet:
+    """Ordered, deduplicated points; equality and hash of the point set."""
+
+    def __init__(self, points):
+        seen = set()
+        kept = []
+        for p in points:
+            if p not in seen:
+                seen.add(p)
+                kept.append(p)
+        self.points = tuple(kept)
+
+    def __len__(self):
+        return len(self.points)
+
+    def __iter__(self):
+        return iter(self.points)
+
+    def __eq__(self, other):
+        return set(self.points) == set(other.points)
+
+    def __hash__(self):
+        return hash(frozenset(self.points))
+
+
+def _validate_point(G, p):
+    if p.vertex is not None:
+        return vertex_point(G, p.vertex)
+    if p.edge is None:
+        raise gg.PointNotOnGraph("point has neither vertex nor edge")
+    return edge_point(G, p.edge, p.offset)
+
+
+def point_set(G, specs):
+    pts = []
+    for s in specs:
+        if isinstance(s, gg.GraphPoint):
+            pts.append(_validate_point(G, s))
+        elif isinstance(s, str):
+            pts.append(vertex_point(G, s))
+        else:
+            eid, off = s
+            pts.append(edge_point(G, eid, off))
+    return PointSet(pts)
+
+
+def _merge_open(raw):
+    """Union of open intervals; merge only on strict overlap."""
+    raw = sorted((lo, hi) for lo, hi in raw if hi > lo)
+    if not raw:
+        return ()
+    merged = [list(raw[0])]
+    for lo, hi in raw[1:]:
+        if lo < merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    return tuple((lo, hi) for lo, hi in merged)
+
+
+def thickening(G, A, r):
+    """Union of open balls of radius r around the points A, edge by edge;
+    reads the graph's own multi-source distance field."""
+    vdist = _distance_field(G, _point_fields(G, A))
+    vertices = frozenset(v for v, d in zip(G.vertices, vdist) if d < r)
+    on_edge = {}
+    for p in A:
+        if p.edge is not None:
+            on_edge.setdefault(p.edge, []).append(p.offset)
+    intervals = {}
+    for e in G.edges:
+        raw = []
+        du = float(vdist[G.vertex_index[e.u]])
+        dv = float(vdist[G.vertex_index[e.v]])
+        if r - du > 0.0:
+            raw.append((0.0, min(e.length, r - du)))
+        if r - dv > 0.0:
+            raw.append((max(0.0, e.length - (r - dv)), e.length))
+        for t in on_edge.get(e.id, ()):
+            raw.append((max(0.0, t - r), min(e.length, t + r)))
+        merged = _merge_open(raw)
+        if merged:
+            intervals[e.id] = merged
+    return gg.EdgeIntervalSet(intervals, vertices)
 
 
 # --------------------------------------------------------------------------

@@ -370,3 +370,39 @@ def test_exit_codes(capsys, tmp_path, seg_files):
     assert main(["hausdorff", "--graph", str(not_json), "--subset", ends]) == 2
     shape = _write(tmp_path / "shape.json", {"vertices": ["u"]})
     assert main(["hausdorff", "--graph", shape, "--subset", ends]) == 2
+
+
+def test_one_process_matches_separate_calls(capsys, seg_files, tmp_path):
+    # the parser is built once per process; a parse failure, from argparse
+    # or from a fixture, must leave the next call's bytes and code as a call
+    # made on its own would give them
+    from ghgraph import cli
+
+    graph, ends, mid = seg_files
+    g = ["--graph", graph]
+    calls = [
+        ["hausdorff", *g, "--subset", ends, "--subset2", mid],
+        ["hausdorff", *g, "--bogus"],
+        ["bound", *g, "--subset", ends, "--subset2", mid],
+        ["hausdorff", "--graph", "missing.json", "--subset", ends],
+        ["oracle", *g, "--subset", ends, "--subset2", mid],
+        ["construct", "net", *g, "--epsilon", "0.25", "--out", str(tmp_path / "n")],
+        ["experiment", "ratio", *g, "--samples", "2"],
+        ["bound", *g, "--subset", mid],
+    ]
+
+    def call(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects before main returns
+            code = exc.code
+        return code, capsys.readouterr().out
+
+    together = [call(argv) for argv in calls]
+    assert cli._build_parser() is cli._build_parser()
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(call(argv))
+    assert together == alone
+    assert [code for code, _ in together] == [0, 2, 0, 2, 0, 0, 0, 0]

@@ -394,3 +394,189 @@ def test_region_connectivity_through_vertices(segment01, circle):
 def test_region_connected_single_interval(circle):
     W = gg.region(circle, {"loop": [(1.0, 2.0)]})
     assert gg.region_is_connected(circle, W)
+
+
+# --------------------------------------------------------------------------
+# columnar point sets and array thickenings against the frozen scalar loops
+
+_TOL = gg.TOLERANCE
+
+
+@st.composite
+def _specs_and_radius(draw):
+    # every spec kind; offsets at, and within TOLERANCE either side of, 0
+    # and l, and beyond them; dyadic multiples of r/2, so that two sources
+    # 2r apart give open intervals that touch exactly; repeated specs
+    G = draw(_multigraph())
+    r = draw(st.sampled_from([0.125, 0.25, 0.5]) | st.floats(0.01, 2.0))
+
+    def offset(e):
+        l = e.length
+        near_ends = [0.0, _TOL, -_TOL, _TOL / 2, -_TOL / 2, 2 * _TOL, -2 * _TOL]
+        near_ends += [l, l - _TOL, l + _TOL, l - _TOL / 2, l + _TOL / 2, l - 2 * _TOL, l + 2 * _TOL]
+        return (
+            st.sampled_from(near_ends)
+            | st.integers(0, int(2 * l / r)).map(lambda k: k * r / 2)
+            | st.floats(0.0, 1.0).map(lambda x: x * l)
+        )
+
+    def edge_spec(e):
+        pair = offset(e).map(lambda t: (e.id, t))
+        return pair | pair.map(lambda s: gg.GraphPoint(edge=s[0], offset=s[1]))
+
+    vertex = st.sampled_from(G.vertices)
+    spec = st.one_of(
+        vertex,
+        vertex.map(lambda v: gg.GraphPoint(vertex=v)),
+        st.sampled_from(G.edges).flatmap(edge_spec),
+    )
+    specs = draw(st.lists(spec, min_size=1, max_size=12))
+    e = draw(st.sampled_from(G.edges))
+    if draw(st.booleans()) and 2 * r < e.length:
+        k = draw(st.integers(0, int(2 * (e.length - 2 * r) / r)))
+        specs += [(e.id, k * r / 2), (e.id, (k + 4) * r / 2)]
+    specs += draw(st.lists(st.sampled_from(specs), max_size=4))
+    return G, draw(st.permutations(specs)), r
+
+
+def _error(call):
+    try:
+        call()
+    except Exception as err:  # the class and message are compared
+        return type(err), str(err)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(_specs_and_radius())
+def test_point_set_and_thickening_match_scalar_reference(case):
+    G, specs, r = case
+    expected = _error(lambda: _brute.point_set(G, specs))
+    if expected is not None:
+        assert _error(lambda: gg.point_set(G, specs)) == expected
+        return
+    ref = _brute.point_set(G, specs)
+    A = gg.point_set(G, specs)
+    assert [(p.vertex, p.edge, p.offset) for p in A] == [(p.vertex, p.edge, p.offset) for p in ref]
+    assert len(A) == len(ref)
+    assert A == gg.PointSet(ref.points) and hash(A) == hash(ref)
+    W, W_ref = gg.thickening(G, A, r), _brute.thickening(G, ref, r)
+    assert list(W.intervals.items()) == list(W_ref.intervals.items())
+    assert W.vertices == W_ref.vertices
+    assert gg.hausdorff_graph_to_region(G, W) == _brute.hausdorff_graph_to_region(G, W_ref)
+
+
+_GOOD_SPECS = ["u", ("a", 1.0), gg.GraphPoint(vertex="w"), gg.GraphPoint(edge="self", offset=0.5), ("b", 0.0)]
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("nope", 0.5),
+        "nope",
+        ("a", math.nan),
+        ("a", math.inf),
+        ("a", -math.inf),
+        ("a", -2 * _TOL),
+        ("a", 3.0 + 2 * _TOL),
+        gg.GraphPoint(),
+        ("a", "half"),
+        ("a", None),
+        ("a", [0.5]),
+        ("a",),
+    ],
+    ids=[
+        "edge-id", "vertex-id", "nan", "inf", "-inf", "below-0", "above-l", "no-location",
+        "offset-text", "offset-none", "offset-list", "one-field",
+    ],
+)
+def test_point_set_errors_match_scalar_reference(multi, bad, where):
+    k = {"start": 0, "middle": len(_GOOD_SPECS) // 2, "end": len(_GOOD_SPECS)}[where]
+    # a second bad spec after the first, one whose offset is no number,
+    # must not be the one reported
+    specs = _GOOD_SPECS[:k] + [bad] + _GOOD_SPECS[k:] + [("a", "later")]
+    expected = _error(lambda: _brute.point_set(multi, specs))
+    assert expected is not None
+    assert _error(lambda: gg.point_set(multi, specs)) == expected
+
+
+def _multi_without_self_loop():
+    return gg.build_graph(
+        ["u", "v", "w"],
+        [("a", "u", "v", 3.0), ("b", "u", "v", 1.0), ("spur", "v", "w", 0.5)],
+    )
+
+
+def _queries(G, A, B):
+    W = gg.thickening(G, A, 0.4)
+    return [
+        gg.hausdorff_graph_to_set(G, A),
+        gg.hausdorff_sets(G, A, B),
+        gg.directed_hausdorff_boundary(G, A),
+        gg.pairwise_distances(G, A, B).tolist(),
+        list(W.intervals.items()),
+        W.vertices,
+        gg.hausdorff_graph_to_region(G, W),
+    ]
+
+
+def test_point_set_on_another_graph(multi):
+    # a set is read on any graph with its ids; it is a gather only on its own
+    specs = ["u", ("a", 1.0), ("self", 0.5), ("b", 0.25)]
+    A, B = gg.point_set(multi, specs), gg.point_set(multi, [("spur", 0.2), ("a", 2.5)])
+    same = gg.build_graph(multi.vertices, [(e.id, e.u, e.v, e.length) for e in multi.edges])
+    expected = _queries(multi, A, B)
+    assert _queries(same, A, B) == expected
+    assert _queries(multi, gg.PointSet(A.points), gg.PointSet(B.points)) == expected
+    lacking = _multi_without_self_loop()
+    for query in (gg.hausdorff_graph_to_set, gg.directed_hausdorff_boundary, gg.set_diameter):
+        with pytest.raises(gg.PointNotOnGraph, match="unknown edge id 'self'"):
+            query(lacking, A)
+    with pytest.raises(gg.PointNotOnGraph, match="unknown edge id 'self'"):
+        gg.thickening(lacking, A, 0.4)
+    # a set built on the smaller graph reads as its points on the larger one
+    C = gg.point_set(lacking, specs[:2] + specs[3:])
+    assert _queries(multi, C, B) == _queries(multi, gg.point_set(multi, specs[:2] + specs[3:]), B)
+
+
+def test_field_path_builds_no_graph_point(monkeypatch):
+    # point_set and every set and region query read columns: not one
+    # GraphPoint is made, where the scalar path made one per spec
+    rng = np.random.default_rng(3)
+    V, E = 60, 120
+    ends = [(int(rng.integers(0, i)), i) for i in range(1, V)]
+    ends += [tuple(int(x) for x in rng.integers(0, V, 2)) for _ in range(E - V + 1)]
+    edges = [(f"e{k}", f"v{u}", f"v{v}", float(rng.uniform(0.5, 2.0))) for k, (u, v) in enumerate(ends)]
+    G = gg.build_graph([f"v{i}" for i in range(V)], edges)
+
+    def specs():
+        k = rng.integers(0, E, 200)
+        return [(edges[i][0], float(rng.uniform(0.0, 1.0)) * edges[i][3]) for i in k] + ["v0", "v7"]
+
+    a, b = specs(), specs()
+    expected = _queries(G, gg.point_set(G, a), gg.point_set(G, b))
+    made = []
+
+    class CountingPoint(graph_mod.GraphPoint):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(graph_mod, "GraphPoint", CountingPoint)
+    A, B = gg.point_set(G, a), gg.point_set(G, b)
+    values = [
+        gg.hausdorff_graph_to_set(G, A),
+        gg.hausdorff_sets(G, A, B),
+        gg.directed_hausdorff_boundary(G, A),
+    ]
+    W = gg.thickening(G, A, 0.4)
+    values.append(gg.hausdorff_graph_to_region(G, W))
+    assert made == []
+    assert values == [expected[i] for i in (0, 1, 2, 6)]
+    A.points  # the views are built on first use, once
+    assert len(made) == len(A)
+    A[0], list(A)
+    assert len(made) == len(A)
