@@ -118,6 +118,8 @@ def load_graph(path: str) -> MetricGraph:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
         raise ParseError(f"{path}: graph document needs 'vertices' and 'edges'")
+    if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
+        raise ParseError(f"{path}: 'vertices' and 'edges' must be lists")
     edges = []
     for e in doc["edges"]:
         if not isinstance(e, dict) or not {"id", "u", "v", "length"} <= set(e):
@@ -149,7 +151,9 @@ def load_matrix(path: str) -> FiniteMetricSpace:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "n" not in doc or "d" not in doc:
         raise ParseError(f"{path}: matrix document needs 'n' and 'd'")
-    n = int(doc["n"])
+    n = doc["n"]
+    if type(n) is not int or not isinstance(doc["d"], list):
+        raise ParseError(f"{path}: 'n' must be an integer and 'd' a list")
     flat = [parse_real(v, "matrix entry") for v in doc["d"]]
     if n <= 0 or len(flat) != n * n:
         raise ParseError(f"{path}: 'd' must hold n*n = {n * n} entries")

@@ -79,21 +79,15 @@ class Edge:
     v: str
     length: float
 
-    def other(self, w: str) -> str:
-        if w == self.u:
-            return self.v
-        if w == self.v:
-            return self.u
-        raise ValueError(f"vertex {w!r} is not an endpoint of edge {self.id!r}")
-
 
 class MetricGraph:
     """A compact connected metric graph.
 
     Instances are built through :func:`build_graph`, which validates the
-    input and keeps the sparse vertex skeleton that distance searches run
-    on. ``edge_u``, ``edge_v`` (vertex indices of the endpoints) and
-    ``edge_length`` are read-only arrays in edge order. The dense
+    input in one pass over the edges and keeps the sparse vertex skeleton
+    that distance searches run on. ``edge_u``, ``edge_v`` (vertex indices of
+    the endpoints), ``edge_length`` and ``vertex_degree`` (a self-loop
+    counts twice) are read-only arrays, in edge and vertex order. The dense
     vertex-to-vertex matrix ``vertex_distances`` is built on first use and
     cached; only point-pair queries and the continuum diameter read it.
     """
@@ -106,40 +100,31 @@ class MetricGraph:
         "edge_u",
         "edge_v",
         "edge_length",
+        "vertex_degree",
         "_skeleton",
         "_vertex_distances",
-        "_degree",
-        "_incident",
     )
 
     def __init__(
         self,
         vertices: tuple[str, ...],
         edges: tuple[Edge, ...],
+        vertex_index: dict[str, int],
+        edge_index: dict[str, int],
+        edge_u: np.ndarray,
+        edge_v: np.ndarray,
+        edge_length: np.ndarray,
         skeleton: csr_matrix,
     ):
-        self.vertices = vertices
-        self.edges = edges
-        self.vertex_index = {v: i for i, v in enumerate(vertices)}
-        self.edge_index = {e.id: i for i, e in enumerate(edges)}
-        self.edge_u = np.array([self.vertex_index[e.u] for e in edges], dtype=np.int64)
-        self.edge_v = np.array([self.vertex_index[e.v] for e in edges], dtype=np.int64)
-        self.edge_length = np.array([e.length for e in edges], dtype=float)
-        for a in (self.edge_u, self.edge_v, self.edge_length):
+        n = len(vertices)
+        self.vertices, self.edges = vertices, edges
+        self.vertex_index, self.edge_index = vertex_index, edge_index
+        self.edge_u, self.edge_v, self.edge_length = edge_u, edge_v, edge_length
+        self.vertex_degree = np.bincount(edge_u, minlength=n) + np.bincount(edge_v, minlength=n)
+        for a in (self.edge_u, self.edge_v, self.edge_length, self.vertex_degree):
             a.flags.writeable = False
         self._skeleton = skeleton
         self._vertex_distances: np.ndarray | None = None
-        degree = {v: 0 for v in vertices}
-        incident: dict[str, list[Edge]] = {v: [] for v in vertices}
-        for e in edges:
-            # a self-loop contributes 2 to the degree of its basepoint
-            degree[e.u] += 1
-            degree[e.v] += 1
-            incident[e.u].append(e)
-            if e.v != e.u:
-                incident[e.v].append(e)
-        self._degree = degree
-        self._incident = incident
 
     @property
     def vertex_distances(self) -> np.ndarray:
@@ -151,22 +136,13 @@ class MetricGraph:
     # -- simple accessors ---------------------------------------------------
 
     def degree(self, v: str) -> int:
-        return self._degree[v]
-
-    def incident_edges(self, v: str) -> tuple[Edge, ...]:
-        return tuple(self._incident[v])
+        return int(self.vertex_degree[self.vertex_index[v]])
 
     def edge(self, edge_id: str) -> Edge:
         idx = self.edge_index.get(edge_id)
         if idx is None:
             raise PointNotOnGraph(f"unknown edge id {edge_id!r}")
         return self.edges[idx]
-
-    def vertex_distance(self, u: str, v: str) -> float:
-        return float(self.vertex_distances[self.vertex_index[u], self.vertex_index[v]])
-
-    def total_edge_length(self) -> float:
-        return float(sum(e.length for e in self.edges))
 
     def __repr__(self) -> str:
         return f"MetricGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
@@ -189,38 +165,42 @@ def build_graph(
         raise ValidationError("duplicate vertex ids")
     vindex = {v: i for i, v in enumerate(vs)}
 
+    # Self-loops never shorten vertex-to-vertex paths; between distinct
+    # vertices only the shortest parallel edge matters. Each pair is stored
+    # once per direction, so searches run directed and never transpose, and
+    # strong connectivity is plain connectivity.
     built: list[Edge] = []
-    seen_ids: set[str] = set()
+    eindex: dict[str, int] = {}
+    ends: list[tuple[int, int]] = []
+    lengths: list[float] = []
+    nbrs: list[dict[int, float]] = [{} for _ in vs]
     for eid, u, v, length in edges:
         eid, u, v = str(eid), str(u), str(v)
-        if eid in seen_ids:
+        if eid in eindex:
             raise ValidationError(f"duplicate edge id {eid!r}")
-        seen_ids.add(eid)
-        if u not in vindex:
+        eindex[eid] = len(built)
+        i, j = vindex.get(u), vindex.get(v)
+        if i is None:
             raise UnknownEndpoint(f"edge {eid!r} references unknown vertex {u!r}")
-        if v not in vindex:
+        if j is None:
             raise UnknownEndpoint(f"edge {eid!r} references unknown vertex {v!r}")
         length = float(length)
         if not math.isfinite(length) or length <= 0.0:
             raise NonPositiveEdgeLength(f"edge {eid!r} has length {length}")
         built.append(Edge(eid, u, v, length))
+        ends.append((i, j))
+        lengths.append(length)
+        if i != j and length < nbrs[i].get(j, np.inf):
+            nbrs[i][j] = nbrs[j][i] = length
 
-    # Self-loops never shorten vertex-to-vertex paths; between distinct
-    # vertices only the shortest parallel edge matters. Each pair is stored
-    # once per direction, so searches run directed and never transpose, and
-    # strong connectivity is plain connectivity.
-    nbrs: list[dict[int, float]] = [{} for _ in vs]
-    for e in built:
-        i, j = vindex[e.u], vindex[e.v]
-        if i != j and e.length < nbrs[i].get(j, np.inf):
-            nbrs[i][j] = nbrs[j][i] = e.length
     indptr = np.cumsum([0] + [len(row) for row in nbrs])
     indices = [j for row in nbrs for j in row]
     data = [w for row in nbrs for w in row.values()]
     skeleton = csr_matrix((data, indices, indptr), shape=(len(vs),) * 2)
     if connected_components(skeleton, connection="strong", return_labels=False) > 1:
         raise DisconnectedGraph("graph is not connected")
-    return MetricGraph(vs, tuple(built), skeleton)
+    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T.copy()
+    return MetricGraph(vs, tuple(built), vindex, eindex, u, v, np.array(lengths), skeleton)
 
 
 # --------------------------------------------------------------------------
@@ -568,11 +548,20 @@ def set_diameter(G: MetricGraph, A: PointSet) -> float:
 # the 45 line combinations cross, and their determinants, are fixed; each
 # crossing is solved for a chunk of pairs at once, kept when inside the box
 # (to eps) and evaluated exactly; one edge's triangle 0 <= s <= t <= l alike.
-# Each point of an edge is within half its length of an endpoint, so
-#   d(p, q) <= l1/2 + D(nearest endpoints) + l2/2 <= max D(ends) + (l1 + l2)/2.
-# Pairs go by decreasing bound, stopping at the first chunk whose bound is
-# below the best value by 1e-11 (1 + bound): more than the 2 eps and the
-# rounding by which a candidate kept within eps of the box can exceed it.
+# A point p at offset s on e = (u, v, l) leaves e through u or v, so for
+# every point q, d(p, q) <= (s + D(u, q) + l - s + D(v, q))/2. The farthest
+# point of an edge (u', v', l') from a vertex w is (D(w, u') + D(w, v') + l')/2
+# away; the largest of these over all edges is ecc(w), so no pair with e is
+# farther apart than bound(e) = (l + ecc(u) + ecc(v))/2 (Hakimi's absolute
+# centre argument). Edges go by decreasing bound, each evaluated against the
+# edges after it (its pairs with earlier ones are done) in chunks of pairs
+# oriented (lower index, higher index): D may differ from its transpose in
+# the last bit, and one fixed orientation keeps the value independent of
+# the visiting order. The pass stops at the first edge whose bound is below
+# the best value by 1e-11 (1 + bound): more than the 2 eps and the rounding
+# by which a candidate kept within eps of the box can exceed it. The
+# eccentricities take row blocks of D of the same chunk size, so no table
+# over all E^2 pairs is ever held.
 
 _PAIR_CHUNK = 256
 _PIECES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
@@ -633,17 +622,17 @@ def graph_diameter(G: MetricGraph) -> float:
     D = G.vertex_distances
     u, v, l = G.edge_u, G.edge_v, G.edge_length
     best = max(float(D.max()), _same_edge_max(D[u, v], l))
-    a, b = np.triu_indices(len(l), k=1)
-    ua, va, ub, vb = u[a], v[a], u[b], v[b]
-    far = np.maximum(np.maximum(D[ua, ub], D[ua, vb]), np.maximum(D[va, ub], D[va, vb]))
-    bound = far + (l[a] + l[b]) / 2.0
+    rows = range(0, len(D), _PAIR_CHUNK)
+    ecc = np.concatenate([(D[w : w + _PAIR_CHUNK, u] + D[w : w + _PAIR_CHUNK, v] + l).max(axis=1) for w in rows]) / 2.0
+    bound = (l + ecc[u] + ecc[v]) / 2.0
     order = np.argsort(-bound)
-    for k in range(0, len(order), _PAIR_CHUNK):
-        top = bound[order[k]]
-        if top + 1e-11 * (1.0 + top) < best:
+    for k, e in enumerate(order.tolist()):
+        if bound[e] + 1e-11 * (1.0 + bound[e]) < best:
             break
-        p, q = a[order[k : k + _PAIR_CHUNK]], b[order[k : k + _PAIR_CHUNK]]
-        best = max(best, _pair_max(D, u[p], v[p], l[p], u[q], v[q], l[q]))
+        for c in range(k + 1, len(order), _PAIR_CHUNK):
+            f = order[c : c + _PAIR_CHUNK]
+            p, q = np.minimum(e, f), np.maximum(e, f)
+            best = max(best, _pair_max(D, u[p], v[p], l[p], u[q], v[q], l[q]))
     return best
 
 
@@ -653,7 +642,7 @@ def graph_diameter(G: MetricGraph) -> float:
 
 def boundary(G: MetricGraph) -> tuple[str, ...]:
     """Vertices of degree one, in vertex order. Self-loops count twice."""
-    return tuple(v for v in G.vertices if G.degree(v) == 1)
+    return tuple(G.vertices[w] for w in np.flatnonzero(G.vertex_degree == 1))
 
 
 def smallest_nonterminal_edge(G: MetricGraph) -> float | None:
@@ -662,12 +651,9 @@ def smallest_nonterminal_edge(G: MetricGraph) -> float | None:
     Returns None when no edge qualifies. Whenever the graph has a loop,
     every loop edge qualifies, so the value is defined.
     """
-    qualifying = [
-        e.length for e in G.edges if G.degree(e.u) > 1 and G.degree(e.v) > 1
-    ]
-    if not qualifying:
-        return None
-    return float(min(qualifying))
+    deg = G.vertex_degree
+    qualifying = G.edge_length[(deg[G.edge_u] > 1) & (deg[G.edge_v] > 1)]
+    return float(qualifying.min()) if qualifying.size else None
 
 
 def circle_circumference(G: MetricGraph) -> float:
@@ -792,21 +778,6 @@ class EdgeIntervalSet:
     @property
     def is_empty(self) -> bool:
         return not self.vertices and all(not iv for iv in self.intervals.values())
-
-    def issubset(self, other: "EdgeIntervalSet") -> bool:
-        if not self.vertices <= other.vertices:
-            return False
-        for eid, ivs in self.intervals.items():
-            cover = other.intervals.get(eid, ())
-            for lo, hi in ivs:
-                if not any(clo <= lo and hi <= chi for clo, chi in cover):
-                    return False
-        return True
-
-    def total_length(self) -> float:
-        return float(
-            sum(hi - lo for ivs in self.intervals.values() for lo, hi in ivs)
-        )
 
 
 def region(

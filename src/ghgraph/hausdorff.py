@@ -27,7 +27,6 @@ from .graph import (
     _same_edge_gap,
     _set_distances,
     _snapped,
-    boundary,
     edge_point,
 )
 
@@ -142,7 +141,10 @@ def _region_sources(G: MetricGraph, W: EdgeIntervalSet):
     edge, w, off, bad = _snapped(G, edge, np.full(len(edge), -1), off)
     if bad is not None:
         edge_point(G, G.edges[edge[bad]].id, off[bad])
-    verts = np.array([G.vertex_index[v] for v in W.vertices], dtype=np.int64)
+    try:
+        verts = np.array([G.vertex_index[v] for v in W.vertices], dtype=np.int64)
+    except KeyError as err:
+        raise PointNotOnGraph(f"unknown vertex id {err.args[0]!r}") from None
     fa = _fields_from_arrays(
         G,
         np.concatenate([np.full(len(verts), -1), edge]),
@@ -164,8 +166,7 @@ def directed_hausdorff_boundary(G: MetricGraph, A: PointSet) -> float:
     """sup over degree-one vertices of the distance to A; 0 when none exist."""
     if len(A) == 0:
         raise EmptySet("Hausdorff distance from the boundary to an empty set")
-    leaves = boundary(G)
-    if not leaves:
+    leaves = G.vertex_degree == 1
+    if not leaves.any():
         return 0.0
-    field = _distance_field(G, _fields(G, A))
-    return float(field[[G.vertex_index[v] for v in leaves]].max())
+    return float(_distance_field(G, _fields(G, A))[leaves].max())

@@ -157,13 +157,6 @@ def distortion(R, X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
 # exact Gromov-Hausdorff search
 
 
-def _pair_value(f: Sequence[int], g: Sequence[int], DX, DY) -> float:
-    xs = list(range(len(f))) + list(g)
-    ys = list(f) + list(range(len(g)))
-    sub = np.abs(DX[np.ix_(xs, xs)] - DY[np.ix_(ys, ys)])
-    return float(sub.max())
-
-
 def _seed_assignments(DX: np.ndarray, DY: np.ndarray) -> list[tuple[list[int], list[int]]]:
     n, m = DX.shape[0], DY.shape[0]
     ecc_x = DX.max(axis=1)
@@ -224,7 +217,9 @@ def gh_exact(
     DXa, DYa = X.d, Y.d
     n, m = X.n, Y.n
 
-    best_val = min(_pair_value(f, g, DXa, DYa) for f, g in _seed_assignments(DXa, DYa))
+    best_val = min(
+        distortion(zip([*range(n), *g], [*f, *range(m)]), X, Y) for f, g in _seed_assignments(DXa, DYa)
+    )
     # the path of the best leaf; the leaf of the best seed pair passes the
     # first cap, so the search always sets it
     best_path: tuple[int, ...] = ()

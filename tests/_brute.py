@@ -4,7 +4,9 @@ Everything here is deliberately naive and independent of the code under test:
 explicit Dijkstra over an adjacency list, exhaustive search over all pairs of
 covering maps, double loops for distortion. The continuum diameter reference
 is the scalar edge-pair loop; it reads the graph's own ``vertex_distances``,
-so it checks the candidate search, not the vertex distances. The continuum
+so it checks the candidate search, not the vertex distances. The degree,
+boundary and shortest non-terminal edge references are the degree dict
+filled by a loop over the edges. The continuum
 Hausdorff reference is the scalar per-edge envelope loop; it reads the
 graph's own multi-source distance field, so it checks the envelope, not the
 field. The point-set and thickening references are the per-spec
@@ -161,6 +163,33 @@ def graph_diameter(G):
         for e2 in G.edges[i + 1 :]:
             best = max(best, _diameter_pair(G, e1, e2))
     return best
+
+
+# --------------------------------------------------------------------------
+# degree structure: the per-vertex degree dict filled by one loop over the
+# edges, kept frozen as the reference the degree array must match exactly
+
+
+def degrees(G):
+    """Degree of every vertex by name; a self-loop counts twice."""
+    degree = {v: 0 for v in G.vertices}
+    for e in G.edges:
+        degree[e.u] += 1
+        degree[e.v] += 1
+    return degree
+
+
+def boundary(G):
+    degree = degrees(G)
+    return tuple(v for v in G.vertices if degree[v] == 1)
+
+
+def smallest_nonterminal_edge(G):
+    degree = degrees(G)
+    qualifying = [e.length for e in G.edges if degree[e.u] > 1 and degree[e.v] > 1]
+    if not qualifying:
+        return None
+    return float(min(qualifying))
 
 
 # --------------------------------------------------------------------------

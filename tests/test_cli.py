@@ -370,6 +370,18 @@ def test_exit_codes(capsys, tmp_path, seg_files):
     assert main(["hausdorff", "--graph", str(not_json), "--subset", ends]) == 2
     shape = _write(tmp_path / "shape.json", {"vertices": ["u"]})
     assert main(["hausdorff", "--graph", shape, "--subset", ends]) == 2
+    ok_edges = [{"id": "e", "u": "a", "v": "b", "length": 1.0}]
+    for i, doc in enumerate(
+        [{"vertices": 5, "edges": ok_edges}, {"vertices": ["a", "b"], "edges": 5}, {"vertices": "ab", "edges": ok_edges}]
+    ):
+        g = _write(tmp_path / f"g{i}.json", doc)
+        assert main(["hausdorff", "--graph", g, "--subset", ends]) == 2
+    mx = _write(tmp_path / "mx.json", {"n": 2, "d": [0.0, 1.0, 1.0, 0.0]})
+    for i, doc in enumerate(
+        [{"n": "x", "d": [0.0]}, {"n": [2], "d": [0.0]}, {"n": 1.5, "d": [0.0]}, {"n": 1, "d": 5}]
+    ):
+        m = _write(tmp_path / f"m{i}.json", doc)
+        assert main(["oracle", "--matrix", m, "--matrix2", mx]) == 2
 
 
 def test_one_process_matches_separate_calls(capsys, seg_files, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -229,9 +230,10 @@ def test_graph_diameter_matches_scalar_reference_on_fixtures(G):
 
 
 def test_graph_diameter_found_behind_looser_bounds():
-    # the four parallel u-v edges have the largest pair bound, 0.5 + 0.5, but
-    # reach only 0.5; the diameter, 0.65 from the loop's antipode to v, lies
-    # on the loop-bundle pairs, whose bound 0.9 sorts them into the third chunk
+    # the four parallel u-v edges have the largest edge bound, (0.5 + ecc(u)
+    # + ecc(v))/2 = (0.5 + 0.5 + 0.65)/2, and come first, but the first one's
+    # chunk of 3 pairs with the others reaches only 0.5; the diameter, 0.65
+    # from the loop's antipode to v, lies in its next chunk, with the loop
     bundle = [(f"b{i}", "u", "v", 0.5) for i in range(4)]
     G = gg.build_graph(["u", "v", "w"], bundle + [("p", "u", "w", 0.05), ("c", "w", "w", 0.2)])
     with mock.patch.object(graph_mod, "_PAIR_CHUNK", 3):
@@ -258,6 +260,36 @@ def test_graph_diameter_prunes_chunks_of_edge_pairs(monkeypatch):
     assert gg.graph_diameter(G) == _brute.graph_diameter(G)
     n_chunks = math.ceil(90 * 89 / 2 / graph_mod._PAIR_CHUNK)
     assert n_chunks >= 3 and 1 <= len(chunks) < n_chunks
+
+
+@settings(max_examples=100, deadline=None)
+@given(_multigraph())
+def test_degree_structure_matches_scalar_reference(G):
+    assert {v: G.degree(v) for v in G.vertices} == _brute.degrees(G)
+    assert gg.boundary(G) == _brute.boundary(G)
+    assert gg.smallest_nonterminal_edge(G) == _brute.smallest_nonterminal_edge(G)
+
+
+def test_graph_diameter_memory_is_bounded():
+    # after the vertex matrix (8 MB here) is built, the search holds one
+    # row block of it and one chunk of edge pairs at a time; a table of
+    # bounds over all E(E-1)/2 = 2e6 pairs, with its sort order, would take
+    # about 150 MB
+    rng = np.random.default_rng(0)
+    V, E = 1000, 2000
+    ends = [(rng.integers(0, i), i) for i in range(1, V)] + [tuple(rng.integers(0, V, 2)) for _ in range(E - V + 1)]
+    G = gg.build_graph(
+        [f"v{i}" for i in range(V)],
+        [(f"e{k}", f"v{u}", f"v{v}", rng.uniform(0.5, 2.0)) for k, (u, v) in enumerate(ends)],
+    )
+    G.vertex_distances
+    tracemalloc.start()
+    try:
+        gg.graph_diameter(G)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32_000_000
 
 
 def test_boundary(segment01, circle, theta345, multi):

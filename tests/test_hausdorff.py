@@ -207,17 +207,22 @@ def test_continuum_suprema_match_scalar_reference(case):
     assert gg.hausdorff_graph_to_region(G, T) == _brute.hausdorff_graph_to_region(G, T)
 
 
+_OFF_GRAPH = [
+    ({"b": ((0.2, 1.0 + 2 * TAU),)}, ()),
+    ({"b": ((-2 * TAU, 0.5),)}, ()),
+    ({"b": ((0.2, math.nan),)}, ()),
+    ({"b": ((0.2, 0.5),), "nope": ((0.1, 0.2),)}, ()),
+    ({}, {"zz"}),
+    ({"b": ((0.2, 0.5),)}, {"zz"}),
+]
+
+
+# explicit ids keep each case's name independent of its vertices column
 @pytest.mark.parametrize(
-    "intervals",
-    [
-        {"b": ((0.2, 1.0 + 2 * TAU),)},
-        {"b": ((-2 * TAU, 0.5),)},
-        {"b": ((0.2, math.nan),)},
-        {"b": ((0.2, 0.5),), "nope": ((0.1, 0.2),)},
-    ],
+    "intervals, vertices", _OFF_GRAPH, ids=[f"intervals{i}" for i in range(len(_OFF_GRAPH))]
 )
-def test_graph_to_region_rejects_points_off_the_graph(multi, intervals):
-    W = gg.EdgeIntervalSet(intervals, frozenset())
+def test_graph_to_region_rejects_points_off_the_graph(multi, intervals, vertices):
+    W = gg.EdgeIntervalSet(intervals, frozenset(vertices))
     with pytest.raises(gg.PointNotOnGraph):
         gg.hausdorff_graph_to_region(multi, W)
 
