@@ -553,15 +553,20 @@ def set_diameter(G: MetricGraph, A: PointSet) -> float:
 # point of an edge (u', v', l') from a vertex w is (D(w, u') + D(w, v') + l')/2
 # away; the largest of these over all edges is ecc(w), so no pair with e is
 # farther apart than bound(e) = (l + ecc(u) + ecc(v))/2 (Hakimi's absolute
-# centre argument). Edges go by decreasing bound, each evaluated against the
-# edges after it (its pairs with earlier ones are done) in chunks of pairs
+# centre argument). Edges go by decreasing bound, each paired with the edges
+# after it (its pairs with earlier ones are done). Those pairs are capped by
+# the other edge's bound and by the pair bound max D(ends) + (l1 + l2)/2, the
+# mean of the pieces through (u1, u2) and (v1, v2), which is tighter where
+# eccentricities are flat (on a cycle every edge bound exceeds the diameter).
+# The pairs whose cap reaches the best value are evaluated in chunks,
 # oriented (lower index, higher index): D may differ from its transpose in
 # the last bit, and one fixed orientation keeps the value independent of
 # the visiting order. The pass stops at the first edge whose bound is below
-# the best value by 1e-11 (1 + bound): more than the 2 eps and the rounding
-# by which a candidate kept within eps of the box can exceed it. The
-# eccentricities take row blocks of D of the same chunk size, so no table
-# over all E^2 pairs is ever held.
+# the best value by 1e-11 (1 + bound), and a pair is skipped by the same
+# margin: more than the 2 eps and the rounding by which a candidate kept
+# within eps of the box can exceed it. The eccentricities take row blocks
+# of D of the same chunk size and each edge holds one row of caps, so no
+# table over all E^2 pairs is ever held.
 
 _PAIR_CHUNK = 256
 _PIECES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
@@ -629,9 +634,12 @@ def graph_diameter(G: MetricGraph) -> float:
     for k, e in enumerate(order.tolist()):
         if bound[e] + 1e-11 * (1.0 + bound[e]) < best:
             break
-        for c in range(k + 1, len(order), _PAIR_CHUNK):
-            f = order[c : c + _PAIR_CHUNK]
-            p, q = np.minimum(e, f), np.maximum(e, f)
+        f = order[k + 1 :]
+        far = np.maximum(np.maximum(D[u[e], u[f]], D[u[e], v[f]]), np.maximum(D[v[e], u[f]], D[v[e], v[f]]))
+        cap = np.minimum(far + (l[e] + l[f]) / 2.0, bound[f])
+        f = f[cap + 1e-11 * (1.0 + cap) >= best]
+        for c in range(0, len(f), _PAIR_CHUNK):
+            p, q = np.minimum(e, f[c : c + _PAIR_CHUNK]), np.maximum(e, f[c : c + _PAIR_CHUNK])
             best = max(best, _pair_max(D, u[p], v[p], l[p], u[q], v[q], l[q]))
     return best
 

@@ -262,6 +262,25 @@ def test_graph_diameter_prunes_chunks_of_edge_pairs(monkeypatch):
     assert n_chunks >= 3 and 1 <= len(chunks) < n_chunks
 
 
+@pytest.mark.parametrize("E", [200, 201])
+def test_graph_diameter_prunes_pairs_on_a_cycle(monkeypatch, E):
+    # every vertex of a cycle of equal edges has ecc = L/2, so no edge bound
+    # stops the pass; the pair bounds leave only pairs about half the cycle
+    # apart, a few per edge instead of all E(E-1)/2 (odd E puts the diameter
+    # mid-edge, above every vertex distance)
+    G = gg.build_graph([f"v{i}" for i in range(E)], [(f"e{i}", f"v{i}", f"v{(i + 1) % E}", 0.1) for i in range(E)])
+    pairs = []
+    pair_max = graph_mod._pair_max
+
+    def counted(D, *ends):
+        pairs.append(len(ends[0]))
+        return pair_max(D, *ends)
+
+    monkeypatch.setattr(graph_mod, "_pair_max", counted)
+    assert gg.graph_diameter(G) == _brute.graph_diameter(G) == pytest.approx(E * 0.1 / 2)
+    assert sum(pairs) <= 3 * E < E * (E - 1) // 2
+
+
 @settings(max_examples=100, deadline=None)
 @given(_multigraph())
 def test_degree_structure_matches_scalar_reference(G):
