@@ -7,8 +7,8 @@ import numpy as np
 
 import ghgraph as gg
 
-# Distances between finite metric spaces are computed exactly by a
-# branch-and-bound search over correspondences generated from map pairs.
+# Distances between finite metric spaces are computed exactly by a search
+# over correspondences generated from map pairs.
 # Input matrices are validated (symmetry, triangle inequality, ...).
 X = gg.FiniteMetricSpace.from_line([0.0, 1.0])
 Y = gg.FiniteMetricSpace.from_line([0.0, 2.0])
@@ -29,15 +29,19 @@ print("  witness:", witness.pairs)
 assert gg.distortion(witness, A, B) == 2 * value
 
 # The same call answers a guard when the search would be too large, with
-# the bracket it had reached: half the diameter gap below, the best map
-# pair found so far above.
+# the bracket it had reached. The search narrows [lower, upper] by deciding
+# whether any map pair beats a threshold: each "no" raises the lower end
+# past half the diameter gap, each "yes" lowers the upper end to the map
+# pair it found.
 fine = gg.restrict_metric(G, gg.epsilon_net(G, 0.3))
 coarse = gg.restrict_metric(G, gg.epsilon_net(G, 0.5))
+print("\nhalf the diameter gap:", abs(fine.d.max() - coarse.d.max()) / 2)
 try:
-    gg.gh_exact(fine, coarse, guard=1000)
+    gg.gh_exact(fine, coarse, guard=500)
 except gg.GuardExceeded as exc:
-    print("\nguarded:", exc)
+    print("guarded:", exc)
     print("  bracket:", exc.bracket)
+print("  unguarded:", gg.gh_exact(fine, coarse)[0])
 
 # gh(X, X) is always zero; the search recognizes it immediately.
 print("\nself distance:", gg.gh_exact(A, A)[0])

@@ -65,6 +65,19 @@ class Hypothesis:
     satisfied: bool
 
 
+# the function whose statement each theorem names
+_THEOREM_OPS = {
+    "tree-equality": "tree_equality",
+    "tree-pair": "tree_pair_bound",
+    "circle": "circle_bound",
+    "circle-pair": "circle_pair_bound",
+    "graph": "graph_bound",
+    "graph-pair": "graph_pair_bound",
+    "diameter": "diameter_bound",
+    "interval-exact": "interval_gh_exact",
+}
+
+
 @dataclass(frozen=True)
 class BoundCertificate:
     """A certified GH lower bound or exact value.
@@ -79,6 +92,11 @@ class BoundCertificate:
     theorem: str
     hypotheses: tuple[Hypothesis, ...]
     upper_bound: float | None = None
+
+    @property
+    def op(self) -> str:
+        """The name of the function whose statement produced the certificate."""
+        return _THEOREM_OPS.get(self.theorem, self.theorem)
 
     def applicable(self) -> bool:
         return self.kind != INAPPLICABLE

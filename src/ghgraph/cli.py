@@ -114,6 +114,13 @@ def _load_json(path: str) -> Any:
         raise ParseError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _parse_id(value: Any, what: str) -> str:
+    """A vertex or edge id: a JSON string, or a number taken by its text."""
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ParseError(f"{what}: expected a string or number, got {json.dumps(value)}")
+    return str(value)
+
+
 def load_graph(path: str) -> MetricGraph:
     doc = _load_json(path)
     if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
@@ -125,9 +132,14 @@ def load_graph(path: str) -> MetricGraph:
         if not isinstance(e, dict) or not {"id", "u", "v", "length"} <= set(e):
             raise ParseError(f"{path}: edge entries need id, u, v, length")
         edges.append(
-            (str(e["id"]), str(e["u"]), str(e["v"]), parse_real(e["length"], "edge length"))
+            (
+                _parse_id(e["id"], "edge id"),
+                _parse_id(e["u"], "edge end"),
+                _parse_id(e["v"], "edge end"),
+                parse_real(e["length"], "edge length"),
+            )
         )
-    return build_graph([str(v) for v in doc["vertices"]], edges)
+    return build_graph([_parse_id(v, "vertex id") for v in doc["vertices"]], edges)
 
 
 def load_subset(path: str, G: MetricGraph) -> PointSet:
@@ -139,9 +151,9 @@ def load_subset(path: str, G: MetricGraph) -> PointSet:
         if not isinstance(item, dict):
             raise ParseError(f"{path}: point entries must be objects")
         if "vertex" in item:
-            specs.append(str(item["vertex"]))
+            specs.append(_parse_id(item["vertex"], "vertex id"))
         elif "edge" in item and "offset" in item:
-            specs.append((str(item["edge"]), parse_real(item["offset"], "offset")))
+            specs.append((_parse_id(item["edge"], "edge id"), parse_real(item["offset"], "offset")))
         else:
             raise ParseError(f"{path}: point entry needs 'vertex' or 'edge'+'offset'")
     return point_set(G, specs)
@@ -203,33 +215,23 @@ def _write_json(path: str, doc: Any) -> None:
 
 
 def _certificate_doc(cert: BoundCertificate) -> dict:
-    op = {
-        "tree-equality": "tree_equality",
-        "tree-pair": "tree_pair_bound",
-        "circle": "circle_bound",
-        "circle-pair": "circle_pair_bound",
-        "graph": "graph_bound",
-        "graph-pair": "graph_pair_bound",
-        "diameter": "diameter_bound",
-        "interval-exact": "interval_gh_exact",
-    }.get(cert.theorem, cert.theorem)
     doc = {
         "theorem": cert.theorem,
         "kind": cert.kind,
-        "value": _tag(op, cert.value),
+        "value": _tag(cert.op, cert.value),
         "hypotheses": [
             {
                 "description": h.description,
-                "left": _tag(op, h.left),
+                "left": _tag(cert.op, h.left),
                 "relation": h.relation,
-                "right": _tag(op, h.right),
+                "right": _tag(cert.op, h.right),
                 "satisfied": h.satisfied,
             }
             for h in cert.hypotheses
         ],
     }
     if cert.upper_bound is not None:
-        doc["upper_bound"] = _tag(op, cert.upper_bound)
+        doc["upper_bound"] = _tag(cert.op, cert.upper_bound)
     return doc
 
 

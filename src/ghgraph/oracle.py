@@ -4,24 +4,38 @@ The oracle answers with the exact minimum, not an estimate. For finite
 spaces X and Y it is enough to search pairs of maps (f: X -> Y, g: Y -> X):
 the relation graph(f) together with the transpose of graph(g) is a
 correspondence, and any correspondence contains one of this shape whose
-distortion is no larger. The search runs as a depth-first scan over the
-(f, g) encoding in lexicographic order with sound lower-bound pruning, so
-it returns the same value as full enumeration and, among all minimizers,
-the lexicographically first one.
+distortion is no larger.
 
 Every assignment is a pair (x, y): f(i) = j is the pair (i, j), g(k) = i
-is the pair (i, k). Two pairs are compatible when their distance gap stays
-within the best distortion found so far, and the table of compatible pairs
-is held as one int per pair, with one bit per pair. A search node's whole
-state is the AND of the rows along its path: the pairs still compatible
-with every assignment made. An assignment is pruned when some later
-variable has no compatible pair left. A work guard caps the number of
-explored assignments; when it trips, the error carries the bracket the
-search had reached.
+is the pair (i, k). The variables come in the order f(0), ..., f(n-1),
+g(0), ..., g(m-1), and a map pair's distortion is the largest gap
+|d_X - d_Y| between the pairs of two variables. Two pairs are compatible
+under a threshold when their gap is below it, and the table of compatible
+pairs is held as one int per pair, with one bit per pair. A search node's
+whole state is the AND of the rows along its path: the pairs still
+compatible with every one made.
+
+The least distortion t* is one of the gaps, and the search keeps a bracket
+[lo, hi] on it: lo starts at the diameter gap, hi at the better of two
+seeded map pairs. A decision search asks whether some map pair has
+distortion below t. It is a depth-first search that branches on the
+unassigned variable with the fewest compatible assignments left
+(fail-first: Haralick and Elliott, AI 1980), each count divided by the
+number of dead ends that variable has caused (dom/wdeg: Boussemart et al.,
+ECAI 2004), and it prunes a node when some variable has none left. With t
+halfway across the bracket, a "no" raises lo to the least gap at or above
+t, and a "yes" lowers hi to the distortion of the map pair found. At t*,
+the witness is fixed one variable at a time, each to its first candidate
+that some completion keeps at t*: the lexicographically first minimizer,
+whichever minimizer the decisions found.
+
+A work guard caps the number of assignments explored, summed over every
+search; when it trips, the error carries the bracket reached.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,7 +75,8 @@ def _checked_axioms(d) -> np.ndarray:
         off = d[~np.eye(d.shape[0], dtype=bool)]
         if off.min() <= 0.0:
             raise InvalidMetric("off-diagonal distances must be positive")
-    d = d.copy()
+    d = np.minimum(d, d.T)  # a new array, exactly symmetric
+    np.fill_diagonal(d, 0.0)
     d.flags.writeable = False
     return d
 
@@ -72,8 +87,13 @@ class FiniteMetricSpace:
     Construction validates the metric axioms: square shape, zero diagonal,
     symmetry, strictly positive off-diagonal entries, and the triangle
     inequality through every middle point, all within a fixed tolerance.
-    The cubic triangle scan runs over blocks of middle points, so its work
-    arrays stay near 16 MB, or one n x n slab for the largest matrices.
+    A matrix that meets these only within the tolerance is kept with the
+    smaller of the two readings of each distance and a zero diagonal, so
+    ``d`` is exactly symmetric and every computation on the space reads one
+    value per pair of points.
+    The cubic triangle scan checks that kept matrix, over blocks of middle
+    points, so its work arrays stay near 16 MB, or one n x n slab for the
+    largest matrices.
     """
 
     __slots__ = ("d",)
@@ -174,31 +194,161 @@ def _seed_assignments(DX: np.ndarray, DY: np.ndarray) -> list[tuple[list[int], l
     return [(f1, g1), (f2, g2)]
 
 
-def _compatible_rows(DX: np.ndarray, DY: np.ndarray, cap: float, strict: bool) -> list[int]:
-    """Row p of the pair-compatibility table at ``cap``, one int per pair.
+class _PairGaps:
+    """The gap between every two pairs, and their compatibility rows.
 
-    Pair p = a*m + b relates a in X to b in Y. Bit q of row p is set when
-    |d_X(a_p, a_q) - d_Y(b_p, b_q)| is below ``cap`` (``strict``) or at most
-    ``cap``. Rows are built in blocks of about _PAIR_BLOCK_CELLS gaps, or the
-    m rows of one point of X for the largest spaces, so no float array of
-    all (nm)^2 gaps is ever held.
+    Pair p = a*m + b relates a in X to b in Y, bit q of a row stands for
+    pair q, and the gap between pairs p and q is
+    |d_X(a_p, a_q) - d_Y(b_p, b_q)|. Rows come in blocks of about
+    _PAIR_BLOCK_CELLS gaps, or the m rows of one point of X for the largest
+    spaces. A table that fits in one block is computed once and kept; a
+    larger one is computed again, block by block, for every threshold, so
+    no float array of all (nm)^2 gaps is ever held.
     """
-    n, m = DX.shape[0], DY.shape[0]
+
+    def __init__(self, DX: np.ndarray, DY: np.ndarray):
+        self.DX, self.DY = DX, DY
+        n, m = DX.shape[0], DY.shape[0]
+        self.step = max(1, _PAIR_BLOCK_CELLS // (m * n * m))
+        self.kept = list(self._blocks()) if self.step >= n else None
+
+    def _blocks(self):
+        DX, DY = self.DX, self.DY
+        n, m = DX.shape[0], DY.shape[0]
+        for start in range(0, n, self.step):
+            gap = DX[start : start + self.step, None, :, None] - DY[None, :, None, :]
+            yield np.abs(gap, out=gap).reshape(-1, n * m)
+
+    def rows_below(self, t: float) -> tuple[list[int], float]:
+        """The compatibility rows at t, and the least gap at or above t.
+
+        A row's bit is set when the gap between the two pairs is below t.
+        """
+        rows: list[int] = []
+        least = math.inf
+        for gaps in self._blocks() if self.kept is None else self.kept:
+            rows += _bit_rows(gaps < t)
+            least = min(least, float(gaps.min(where=gaps >= t, initial=math.inf)))
+        return rows, least
+
+
+def _bit_rows(ok: np.ndarray) -> list[int]:
+    """Each row of a boolean array as one int, bit q for column q."""
+    raw = np.packbits(ok, axis=1, bitorder="little")
+    width = raw.shape[1]
+    raw = raw.tobytes()
+    return [int.from_bytes(raw[r * width : (r + 1) * width], "little") for r in range(ok.shape[0])]
+
+
+def _search(X: FiniteMetricSpace, Y: FiniteMetricSpace, guard: int) -> tuple[float, list[int], int]:
+    """The least distortion, the pairs of the lexicographically first map
+    pair that has it, and the number of assignments explored."""
+    DX, DY = X.d, Y.d
+    n, m = X.n, Y.n
     nm = n * m
-    step = max(1, _PAIR_BLOCK_CELLS // (m * nm))
-    rows: list[int] = []
-    for start in range(0, n, step):
-        gap = DX[start : start + step, None, :, None] - DY[None, :, None, :]
-        np.abs(gap, out=gap)
-        ok = gap < cap if strict else gap <= cap
-        count = ok.shape[0] * m
-        raw = np.packbits(ok.reshape(count, nm), axis=1, bitorder="little")
-        width = raw.shape[1]
-        raw = raw.tobytes()
-        rows.extend(
-            int.from_bytes(raw[r * width : (r + 1) * width], "little") for r in range(count)
+    depth = n + m
+
+    # Variable v < n is f(v), whose candidates are the pairs (v, j): a block
+    # of m bits. Variable n + k is g(k), whose candidates are the pairs
+    # (i, k): every m-th bit from bit k. A path holds each variable's pair.
+    full = (1 << nm) - 1
+    row = (1 << m) - 1
+    column = sum(1 << (i * m) for i in range(n))
+    masks = [row << (i * m) for i in range(n)] + [column << k for k in range(m)]
+    path = [0] * depth
+    # dead ends caused per variable: the branching rule divides candidates by it
+    weight = [1] * depth
+    upper = np.triu_indices(depth, 1)
+    nodes = 0
+
+    def guard_tripped() -> GuardExceeded:
+        return GuardExceeded(
+            f"gh_exact guard of {guard} assignments exceeded; "
+            f"GH distance in [{lo / 2.0:.12g}, {hi / 2.0:.12g}]",
+            bracket=(lo / 2.0, hi / 2.0),
         )
-    return rows
+
+    def path_distortion() -> float:
+        xs, ys = np.divmod(np.array(path), m)
+        return float(np.abs(DX[np.ix_(xs, xs)] - DY[np.ix_(ys, ys)])[upper].max())
+
+    # The least distortion lies in [lo, hi]: lo is proven, hi is the
+    # distortion of the map pair on the path ``best``. lo starts at the
+    # diameter gap: both ends of a diameter of X are the X side of some
+    # variable's pair, so some gap reads that distance against an entry of
+    # DY, and the same holds with X and Y swapped.
+    lo, hi = abs(float(DX.max()) - float(DY.max())), math.inf
+    for f, g in _seed_assignments(DX, DY):
+        path[:] = [i * m + j for i, j in enumerate(f)] + [i * m + k for k, i in enumerate(g)]
+        seeded = path_distortion()
+        if seeded < hi:
+            hi, best = seeded, path[:]
+    gaps = _PairGaps(DX, DY)
+
+    def extends(C: list[int], alive: int, free: tuple[int, ...]) -> bool:
+        # alive: the pairs compatible with every one on the path; free:
+        # the unassigned variables. True when the path completes, with the
+        # completion left on it.
+        nonlocal nodes
+        if not free:
+            return True
+        fewest = math.inf
+        for at, w in enumerate(free):
+            count = (alive & masks[w]).bit_count()
+            if not count:
+                weight[w] += 1
+                return False
+            if count < fewest * weight[w]:
+                fewest, pick = count / weight[w], at
+        v = free[pick]
+        rest = free[:pick] + free[pick + 1 :]
+        cand = alive & masks[v]
+        while cand:
+            low = cand & -cand
+            nodes += 1
+            if nodes > guard:
+                raise guard_tripped()
+            p = low.bit_length() - 1
+            path[v] = p
+            if extends(C, alive & C[p], rest):
+                return True
+            cand ^= low
+        return False
+
+    while lo < hi:
+        t = (lo + hi) / 2.0
+        if t <= lo:  # hi is the next float above lo
+            t = hi
+        C, least = gaps.rows_below(t)
+        if extends(C, full, tuple(range(depth))):
+            hi = path_distortion()
+            best = path[:]
+        else:
+            lo = least
+
+    # The lexicographically first map pair at hi, one variable at a time:
+    # the first candidate that some completion of the prefix keeps at hi is
+    # fixed, and ``best`` moves to that completion. The candidate in
+    # ``best`` itself needs no search.
+    C, _ = gaps.rows_below(math.nextafter(hi, math.inf))
+    alive = full
+    for v in range(depth):
+        cand = alive & masks[v] & ((2 << best[v]) - 1)
+        while cand:
+            low = cand & -cand
+            nodes += 1
+            if nodes > guard:
+                raise guard_tripped()
+            p = low.bit_length() - 1
+            path[v] = p
+            if p == best[v]:
+                break
+            if extends(C, alive & C[p], tuple(range(v + 1, depth))):
+                best = path[:]
+                break
+            cand ^= low
+        alive &= C[best[v]]
+    return hi, best, nodes
 
 
 def gh_exact(
@@ -209,106 +359,18 @@ def gh_exact(
     """Exact Gromov-Hausdorff distance and a minimizing correspondence.
 
     Returns (value, witness) with value = distortion(witness) / 2. The
-    witness is the union of the graphs of the minimizing pair (f, g),
-    lexicographically first among all minimizing pairs. Raises
-    GuardExceeded when more than ``guard`` assignments get explored; the
-    error's ``bracket`` holds (|diam X - diam Y| / 2, the best value found).
+    witness is the union of the graphs of the minimizing pair (f, g) that
+    comes first in lexicographic order of (f(0), ..., f(n-1), g(0), ...,
+    g(m-1)), so it does not depend on how the minimum was found.
+
+    ``guard`` caps the assignments explored, summed over every decision
+    search and the witness scan. Beyond it GuardExceeded is raised, and its
+    ``bracket`` holds (lower, upper): half a proven lower bound on the
+    distortion of every map pair (at least half the diameter gap), and half
+    the distortion of the best map pair found.
     """
-    DXa, DYa = X.d, Y.d
-    n, m = X.n, Y.n
-
-    best_val = min(
-        distortion(zip([*range(n), *g], [*f, *range(m)]), X, Y) for f, g in _seed_assignments(DXa, DYa)
-    )
-    # the path of the best leaf; the leaf of the best seed pair passes the
-    # first cap, so the search always sets it
-    best_path: tuple[int, ...] = ()
-    # before the first witness a tie with the seed value is kept, after it
-    # only strict improvements are
-    C = _compatible_rows(DXa, DYa, best_val, strict=False)
-
-    # Variable v < n is f(v), whose candidates are the pairs (v, j): a block
-    # of m bits. Variable n + k is g(k), whose candidates are the pairs
-    # (i, k): every m-th bit from bit k. Both scan candidates by increasing p.
-    depth = n + m
-    full = (1 << (n * m)) - 1
-    row = (1 << m) - 1
-    column = sum(1 << (i * m) for i in range(n))
-    masks = [row << (i * m) for i in range(n)] + [column << k for k in range(m)]
-    layout = [(i * m, 1, m) for i in range(n)] + [(k, m, n) for k in range(m)]
-    later = [masks[v + 1 :] for v in range(depth)]
-    path = [0] * depth
-    # alive set of each level along the path of the latest witness; 0 where
-    # the path itself is no longer compatible under the new cap
-    replayed = [0] * depth
-    nodes = 0
-    witnesses = 0
-
-    def guard_tripped() -> GuardExceeded:
-        floor = abs(float(DXa.max()) - float(DYa.max())) / 2.0
-        return GuardExceeded(
-            f"gh_exact guard of {guard} assignments exceeded; "
-            f"GH distance in [{floor:.12g}, {best_val / 2.0:.12g}]",
-            bracket=(floor, best_val / 2.0),
-        )
-
-    def improve() -> None:
-        nonlocal best_val, best_path, C, witnesses
-        # the distortion the search bounds: the gap of each pair on the path
-        # with each later one, oriented as the rows of C
-        xs, ys = np.divmod(path, m)
-        gaps = np.abs(DXa[np.ix_(xs, xs)] - DYa[np.ix_(ys, ys)])
-        best_val = max(0.0, float(gaps[np.triu_indices(depth, 1)].max()))
-        best_path = tuple(path)
-        witnesses += 1
-        C = _compatible_rows(DXa, DYa, best_val, strict=True)
-        alive = full
-        for t, q in enumerate(path):
-            replayed[t] = alive
-            alive = alive & C[q] if alive >> q & 1 else 0
-
-    def search(v: int, alive: int) -> None:
-        # alive: the pairs compatible with every pair on the path so far
-        nonlocal nodes
-        if v == depth:
-            improve()
-            return
-        base, stride, size = layout[v]
-        mask = masks[v]
-        checks = later[v]
-        cand = alive & mask
-        # pruned candidates count as explored assignments too, so the guard
-        # counts every candidate up to the current one
-        done = -1
-        while cand:
-            low = cand & -cand
-            p = low.bit_length() - 1
-            index = (p - base) // stride
-            nodes += index - done
-            done = index
-            if nodes > guard:
-                raise guard_tripped()
-            nxt = alive & C[p]
-            for w in checks:
-                if not nxt & w:
-                    break
-            else:
-                path[v] = p
-                seen = witnesses
-                search(v + 1, nxt)
-                if witnesses != seen:
-                    alive = replayed[v]
-                    cand = (alive & mask) >> (p + 1) << (p + 1)
-                    continue
-            cand ^= low
-        nodes += size - 1 - done
-        if nodes > guard:
-            raise guard_tripped()
-
-    search(0, full)
-
-    pairs = sorted(set(divmod(p, m) for p in best_path))
-    return best_val / 2.0, Correspondence(tuple(pairs))
+    value, path, _ = _search(X, Y, guard)
+    return value / 2.0, Correspondence(tuple(divmod(p, Y.n) for p in sorted(set(path))))
 
 
 def restrict_metric(G: MetricGraph, A: PointSet) -> FiniteMetricSpace:

@@ -376,6 +376,25 @@ def test_exit_codes(capsys, tmp_path, seg_files):
     ):
         g = _write(tmp_path / f"g{i}.json", doc)
         assert main(["hausdorff", "--graph", g, "--subset", ends]) == 2
+    # ids are strings or numbers; null, booleans, lists and objects are not
+    for i, bad in enumerate([None, True, ["x"], {"x": 1}]):
+        docs = [
+            {"vertices": ["a", bad], "edges": ok_edges},
+            {"vertices": ["a", "b"], "edges": [dict(ok_edges[0], id=bad)]},
+            {"vertices": ["a", "b"], "edges": [dict(ok_edges[0], u=bad)]},
+            {"vertices": ["a", "b"], "edges": [dict(ok_edges[0], v=bad)]},
+        ]
+        for j, doc in enumerate(docs):
+            g = _write(tmp_path / f"id{i}{j}.json", doc)
+            assert main(["hausdorff", "--graph", g, "--subset", ends]) == 2
+        for j, doc in enumerate([[{"vertex": bad}], [{"edge": bad, "offset": 0.5}]]):
+            x = _write(tmp_path / f"ix{i}{j}.json", doc)
+            assert main(["hausdorff", "--graph", graph, "--subset", x]) == 2
+    numeric = _write(
+        tmp_path / "numeric.json", {"vertices": [0, 1.5], "edges": [{"id": 7, "u": 0, "v": 1.5, "length": 1.0}]}
+    )
+    at = _write(tmp_path / "at.json", [{"vertex": 1.5}, {"edge": 7, "offset": 0.5}])
+    assert main(["hausdorff", "--graph", numeric, "--subset", at]) == 0
     mx = _write(tmp_path / "mx.json", {"n": 2, "d": [0.0, 1.0, 1.0, 0.0]})
     for i, doc in enumerate(
         [{"n": "x", "d": [0.0]}, {"n": [2], "d": [0.0]}, {"n": 1.5, "d": [0.0]}, {"n": 1, "d": 5}]

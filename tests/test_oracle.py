@@ -1,9 +1,11 @@
 import math
+import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ghgraph as gg
@@ -60,6 +62,19 @@ def test_metric_validation_checks_every_middle_point():
     for n in (200, 300):
         with pytest.raises(gg.InvalidMetric, match="through point 3"):
             gg.FiniteMetricSpace(matrix(n))
+
+
+def test_metric_within_tolerance_is_kept_exact():
+    # each distance keeps its smaller reading and the diagonal is zeroed, so
+    # a matrix and its transpose are one space, and the oracle's value is
+    # half its witness's distortion on both
+    d = np.array([[5e-10, 1.0], [1.0 + 3e-10, 0.0]])
+    X, XT = gg.FiniteMetricSpace(d), gg.FiniteMetricSpace(d.T)
+    assert np.array_equal(X.d, [[0.0, 1.0], [1.0, 0.0]])
+    assert np.array_equal(XT.d, X.d)
+    one = gg.FiniteMetricSpace([[0.0]])
+    v, R = gg.gh_exact(X, one)
+    assert v == gg.gh_exact(XT, one)[0] == gg.distortion(R, X, one) / 2 == 0.5
 
 
 def test_from_line_sorts_and_dedups():
@@ -201,10 +216,10 @@ def test_gh_guard(theta345):
     MY = gg.restrict_metric(theta345, _random_points(theta345, rng, 4))
     with pytest.raises(gg.GuardExceeded) as info:
         gg.gh_exact(MX, MY, guard=3)
-    # the error brackets the answer: half the diameter gap below, the best
-    # map pair found so far above
+    # the error brackets the answer: a proven floor, at least half the
+    # diameter gap, below and the best map pair found so far above
     floor, incumbent = info.value.bracket
-    assert floor == abs(MX.d.max() - MY.d.max()) / 2
+    assert floor >= abs(MX.d.max() - MY.d.max()) / 2
     assert f"[{floor:.12g}, {incumbent:.12g}]" in str(info.value)
     v, _ = gg.gh_exact(MX, MY)
     assert floor <= v <= incumbent
@@ -212,17 +227,19 @@ def test_gh_guard(theta345):
 
 # --------------------------------------------------------------------------
 # gh_exact against the float forward-check search it replaced: the same
-# tree, so the same value bits, witness and assignment count
+# value bits and the same witness, the lexicographically first minimizer
 
 
 def _assert_same_search(MX, MY):
-    value, pairs, nodes = gh_forward_check(MX.d, MY.d)
-    v, R = gg.gh_exact(MX, MY, guard=nodes)
+    value, pairs, _ = gh_forward_check(MX.d, MY.d)
+    count = gg.oracle._search(MX, MY, 10**9)[2]
+    v, R = gg.gh_exact(MX, MY, guard=count)
     assert v == value
     assert R.pairs == pairs
+    # the guard bounds exactly the assignments the search explores
     with pytest.raises(gg.GuardExceeded):
-        gg.gh_exact(MX, MY, guard=nodes - 1)
-    return nodes
+        gg.gh_exact(MX, MY, guard=count - 1)
+    return count
 
 
 @st.composite
@@ -256,6 +273,16 @@ def test_gh_matches_forward_check_reference(MX, MY):
     _assert_same_search(MX, MY)
 
 
+@settings(max_examples=40, deadline=None)
+@given(MX=_finite_spaces(), MY=_finite_spaces())
+def test_gh_search_does_not_depend_on_the_block_size(MX, MY):
+    # with one point of X per block, the gaps are computed again for every
+    # threshold instead of kept
+    kept = gg.oracle._search(MX, MY, 10**9)
+    with mock.patch.object(gg.oracle, "_PAIR_BLOCK_CELLS", 1):
+        assert gg.oracle._search(MX, MY, 10**9) == kept
+
+
 @pytest.mark.parametrize("block_cells", [None, 1])
 def test_gh_matches_forward_check_reference_on_star(monkeypatch, block_cells):
     if block_cells is not None:  # one point of X per block of compatibility rows
@@ -263,8 +290,38 @@ def test_gh_matches_forward_check_reference_on_star(monkeypatch, block_cells):
     G = gg.star_graph([1.0, 1.5, 2.0, 2.5])
     X = [("r1", 0.43), ("r1", 0.09), ("r3", 1.57), ("r3", 1.74), ("r1", 0.11), ("r2", 0.6), ("r3", 0.5)]
     Y = [("r3", 1.29), ("r3", 0.78), ("r4", 1.2), ("r2", 0.92), ("r4", 1.86), ("r1", 0.88), ("r3", 0.31)]
-    nodes = _assert_same_search(_space(G, X), _space(G, Y))
-    assert nodes > 10_000
+    assert _assert_same_search(_space(G, X), _space(G, Y)) == 294
+
+
+@settings(max_examples=60, deadline=None)
+@given(MX=_finite_spaces(), MY=_finite_spaces())
+# given with d(1, 0) = d(0, 1) + 3e-10, and the value reads d(0, 1): a floor
+# that reads the larger entry exceeds it
+@example(MX=gg.FiniteMetricSpace([[0.0, 1.0], [1.0 + 3e-10, 0.0]]), MY=gg.FiniteMetricSpace([[0.0]]))
+def test_gh_guard_bracket_holds_the_value(MX, MY):
+    # the guard stops the search before it starts, within a decision and
+    # within the witness scan; every bracket must hold the exact value, on
+    # matrices given symmetric only within the tolerance too
+    v, _ = gg.gh_exact(MX, MY)
+    count = gg.oracle._search(MX, MY, 10**9)[2]
+    for guard in sorted({0, count // 3, 2 * count // 3, count - 1}):
+        with pytest.raises(gg.GuardExceeded) as info:
+            gg.gh_exact(MX, MY, guard=guard)
+        floor, incumbent = info.value.bracket
+        assert floor <= v <= incumbent
+
+
+def test_gh_circle_pair_beyond_the_lexicographic_search(circle):
+    # the lexicographic branch and bound this search replaced explored more
+    # than 3e6 assignments on this pair; the value and witness are its own
+    rng = random.Random(24)
+    X, Y = (_space(circle, [("loop", rng.uniform(0, 2 * math.pi)) for _ in range(10)]) for _ in range(2))
+    v, R = gg.gh_exact(X, Y, guard=100_000)
+    assert v == 0.4832967326142277
+    assert R.pairs == (
+        (0, 6), (1, 0), (1, 8), (2, 4), (2, 7), (3, 1), (3, 3), (4, 4),
+        (4, 5), (5, 2), (5, 9), (6, 3), (7, 6), (8, 4), (9, 6),
+    )
 
 
 def test_gh_exact_memory_is_bounded():

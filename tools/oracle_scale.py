@@ -1,0 +1,102 @@
+"""Exact GH search on seeded random circle pairs: time, assignments, guard trips.
+
+Pair i puts n = m points uniformly at random on the circle of circumference
+2 pi, with n drawn from ``--sizes`` (9..12 by default); every draw comes
+from one ``random.Random(--seed)``, so the pairs repeat exactly. The
+benchmark panel stops at 9 points, and from 10 points on the cost of the
+search is heavy-tailed, which is what this script shows.
+
+Each source tree runs in its own subprocess on the same pairs, so a parent
+checkout and this one can be compared side by side. Per pair and tree it
+prints the time of one ``gh_exact`` call, the assignments explored (where
+the tree reports them), and the value, or ``trip`` with the bracket when
+the guard is exceeded. The last line counts the pairs whose values differ
+between trees.
+
+    python tools/oracle_scale.py                            # this checkout's src/
+    python tools/oracle_scale.py /path/to/parent/src src    # before and after
+    python tools/oracle_scale.py --seed 7 --pairs 20 --sizes 9 11 --guard 3000000
+"""
+
+import argparse
+import json
+import math
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def pairs(seed: int, count: int, sizes: tuple[int, int]) -> list[tuple[list[float], list[float]]]:
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(*sizes)
+        out.append(tuple([rng.uniform(0.0, 2.0 * math.pi) for _ in range(n)] for _ in range(2)))
+    return out
+
+
+def run(src: str, seed: int, count: int, sizes: tuple[int, int], guard: int) -> None:
+    """Solve every pair with the library under ``src``; one JSON line each."""
+    sys.path.insert(0, src)
+    import ghgraph as gg
+
+    search = getattr(gg.oracle, "_search", None)
+    G = gg.circle_graph()
+    for xs, ys in pairs(seed, count, sizes):
+        X, Y = (gg.restrict_metric(G, gg.point_set(G, [("loop", s) for s in side])) for side in (xs, ys))
+        row = {"n": len(xs)}
+        t0 = time.perf_counter()
+        try:
+            if search is None:
+                row["value"] = gg.gh_exact(X, Y, guard=guard)[0]
+            else:
+                value, _, row["assignments"] = search(X, Y, guard)
+                row["value"] = value / 2.0
+        except gg.GuardExceeded as exc:
+            row["bracket"] = exc.bracket
+        row["ms"] = 1000.0 * (time.perf_counter() - t0)
+        print(json.dumps(row), flush=True)
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("src", nargs="*", default=[str(ROOT / "src")], help="library source trees")
+    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--pairs", type=int, default=20)
+    p.add_argument("--sizes", type=int, nargs=2, default=(9, 12), metavar=("MIN", "MAX"))
+    p.add_argument("--guard", type=int, default=3_000_000)
+    p.add_argument("--one", help=argparse.SUPPRESS)
+    args = p.parse_args()
+    setting = (args.seed, args.pairs, tuple(args.sizes), args.guard)
+    if args.one:
+        run(args.one, *setting)
+        return
+
+    results = []
+    for src in args.src:
+        cmd = [sys.executable, __file__, "--one", str(Path(src).resolve()), "--seed", str(args.seed),
+               "--pairs", str(args.pairs), "--sizes", *map(str, args.sizes), "--guard", str(args.guard)]
+        done = subprocess.run(cmd, check=True, capture_output=True, text=True)
+        results.append([json.loads(line) for line in done.stdout.splitlines()])
+
+    print(f"seed {args.seed}, guard {args.guard}; per tree: ms, assignments, value or bracket")
+    for i, rows in enumerate(zip(*results)):
+        cells = []
+        for row in rows:
+            outcome = f"{row['value']:.12g}" if "value" in row else "trip [{:.4g}, {:.4g}]".format(*row["bracket"])
+            cells.append(f"{row['ms']:9.1f} {row.get('assignments', '-'):>9} {outcome:<24}")
+        print(f"{i:3d} n={rows[0]['n']:<3d}" + " | ".join(cells))
+    for src, rows in zip(args.src, results):
+        ms = sorted(row["ms"] for row in rows)
+        trips = sum("bracket" in row for row in rows)
+        print(f"{src}: median {ms[len(ms) // 2]:.1f} ms, max {ms[-1]:.1f} ms, {trips} guard trips")
+    differ = sum(len({row["value"] for row in rows if "value" in row}) > 1 for rows in zip(*results))
+    print(f"pairs whose values differ between trees: {differ}")
+
+
+if __name__ == "__main__":
+    main()
