@@ -254,13 +254,11 @@ def _cmd_hausdorff(args: argparse.Namespace) -> dict:
     if args.subset2:
         Y = load_subset(args.subset2, G)
         report["subset2"] = args.subset2
-        report["directed_xy"] = _tag(
-            "directed_hausdorff_sets", directed_hausdorff_sets(G, X, Y)
-        )
-        report["directed_yx"] = _tag(
-            "directed_hausdorff_sets", directed_hausdorff_sets(G, Y, X)
-        )
-        report["symmetric"] = _tag("hausdorff_sets", hausdorff_sets(G, X, Y))
+        xy, yx = directed_hausdorff_sets(G, X, Y), directed_hausdorff_sets(G, Y, X)
+        report["directed_xy"] = _tag("directed_hausdorff_sets", xy)
+        report["directed_yx"] = _tag("directed_hausdorff_sets", yx)
+        # hausdorff_sets is exactly the larger directed value
+        report["symmetric"] = _tag("hausdorff_sets", max(xy, yx))
     return report
 
 

@@ -56,9 +56,6 @@ __all__ = [
     "grid_interval",
 ]
 
-_VERIFY_TOL = 1e-9
-
-
 # --------------------------------------------------------------------------
 # small graph builders
 
@@ -125,7 +122,7 @@ def star_counterexample(
 
     h_x = hausdorff_graph_to_region(T, X)
     h_xc = hausdorff_graph_to_region(T, X_centered)
-    if abs(h_x - 1.0) > _VERIFY_TOL or abs(h_xc - 1.0 / n) > _VERIFY_TOL:
+    if abs(h_x - 1.0) > TOLERANCE or abs(h_xc - 1.0 / n) > TOLERANCE:
         raise ConstructionVerificationFailed(
             f"star instance failed its Hausdorff check: d_H(T,X)={h_x!r}, "
             f"d_H(T,X')={h_xc!r}, expected 1 and {1.0 / n!r}"
@@ -224,13 +221,13 @@ def circle_six_point(
 
     h = hausdorff_graph_to_set(G, X)
     want_h = math.pi / 3.0 + eps
-    if abs(h - want_h) > _VERIFY_TOL:
+    if abs(h - want_h) > TOLERANCE:
         raise ConstructionVerificationFailed(
             f"six-point instance: d_H measured {h!r}, expected {want_h!r}"
         )
     dis = arc_correspondence_distortion(R, X, G)
     want_dis = 2.0 * math.pi / 3.0
-    if abs(dis - want_dis) > _VERIFY_TOL:
+    if abs(dis - want_dis) > TOLERANCE:
         raise ConstructionVerificationFailed(
             f"six-point instance: distortion measured {dis!r}, expected {want_dis!r}"
         )
@@ -356,12 +353,13 @@ def epsilon_net(G: MetricGraph, eps: float) -> PointSet:
     """A deterministic point set with d_H(G, net) <= eps.
 
     Each edge is subdivided uniformly with spacing at most 2*eps, endpoints
-    included, so no point of the graph is farther than eps from the net.
+    included, so no point of the graph is farther than eps from the net;
+    a vertex on no edge (the graph is then that one point) joins as itself.
     The guarantee is re-measured before returning.
     """
     if not eps > 0.0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {eps}")
-    pts: list = []
+    pts: list = [v for v, k in zip(G.vertices, G.vertex_degree.tolist()) if k == 0]
     for e in G.edges:
         m = max(1, math.ceil(e.length / (2.0 * eps)))
         step = e.length / m

@@ -501,11 +501,11 @@ def _distance_field(G: MetricGraph, fa) -> np.ndarray:
     return dijkstra(M, directed=True, indices=sources, min_only=True)[:n]
 
 
-def _same_edge_gap(qe, qs, pe, pt) -> np.ndarray:
-    """min |s - t| over the points (pe, pt) on each query's own edge, inf if
-    none; edge index -1 marks a vertex. Complex keys sort by edge, then
-    offset, so one search finds each query's two neighbours."""
-    keys = np.sort(pe[pe >= 0] + 1j * pt[pe >= 0])
+def _same_edge_gap(qe, qs, keys) -> np.ndarray:
+    """min |s - t| over the points t on each query's own edge, inf if none;
+    ``keys`` holds those points sorted as complex edge + i offset, which
+    sort by edge, then offset, so one search finds each query's two
+    neighbours."""
     gap = np.full(len(qe), np.inf)
     if keys.size:
         r = np.searchsorted(keys, qe + 1j * qs)
@@ -519,7 +519,8 @@ def _set_distances(G: MetricGraph, fp, fa) -> np.ndarray:
     field = _distance_field(G, fa)
     ep, ap, bp, sp, tp = fp
     out = np.minimum(sp + field[ap], tp + field[bp])
-    return np.minimum(out, _same_edge_gap(ep, sp, fa[0], fa[3]))
+    pe, pt = fa[0], fa[3]
+    return np.minimum(out, _same_edge_gap(ep, sp, np.sort(pe[pe >= 0] + 1j * pt[pe >= 0])))
 
 
 def distance_to_set(G: MetricGraph, p: GraphPoint, A: PointSet) -> float:
@@ -547,7 +548,9 @@ def set_diameter(G: MetricGraph, A: PointSet) -> float:
 # two pieces agree. The ten slopes are the same for every pair, so which of
 # the 45 line combinations cross, and their determinants, are fixed; each
 # crossing is solved for a chunk of pairs at once, kept when inside the box
-# (to eps) and evaluated exactly; one edge's triangle 0 <= s <= t <= l alike.
+# (to eps) and evaluated exactly. Within one edge, points t - s apart
+# (0 <= s <= t <= l) are min(t - s, s + h + l - t) apart, h = D(u, v) <= l
+# (0 on a self-loop), which peaks at (h + l)/2 when t - s = (h + l)/2 <= l.
 # A point p at offset s on e = (u, v, l) leaves e through u or v, so for
 # every point q, d(p, q) <= (s + D(u, q) + l - s + D(v, q))/2. The farthest
 # point of an edge (u', v', l') from a vertex w is (D(w, u') + D(w, v') + l')/2
@@ -588,8 +591,6 @@ _PAIR_CROSSINGS = _crossings(
     [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
     + [(_PIECES[p][0] - _PIECES[q][0], _PIECES[p][1] - _PIECES[q][1]) for p, q in _PIECE_PAIRS]
 )
-# s = 0, t = l, the s = t side of the triangle, and where its two pieces cross
-_SAME_EDGE_CROSSINGS = _crossings([(1.0, 0.0), (0.0, 1.0), (1.0, -1.0), (-2.0, 2.0)])
 
 
 def _solve(crossings, rhs):
@@ -610,23 +611,13 @@ def _pair_max(D, u1, v1, l1, u2, v2, l2) -> float:
     return float(np.max(value, where=inside, initial=-np.inf))
 
 
-def _same_edge_max(h, l) -> float:
-    """Largest distance within one edge, over all edges: on 0 <= s <= t <= l
-    it is min(t - s, s + h + l - t), h the distance between the endpoints (0
-    on a self-loop); leaving and re-entering through one endpoint is dominated."""
-    s, t = _solve(_SAME_EDGE_CROSSINGS, [0.0, l, 0.0, h + l])
-    eps = 1e-12 * (1.0 + l)
-    inside = (-eps <= s) & (t <= l + eps) & (s <= t + eps)
-    return float(np.max(np.minimum(t - s, s + h + l - t), where=inside, initial=-np.inf))
-
-
 def graph_diameter(G: MetricGraph) -> float:
     """Supremum of distances over the whole continuum of the graph, exactly."""
     if not G.edges:
         return 0.0
     D = G.vertex_distances
     u, v, l = G.edge_u, G.edge_v, G.edge_length
-    best = max(float(D.max()), _same_edge_max(D[u, v], l))
+    best = max(float(D.max()), float(((D[u, v] + l) / 2.0).max()))
     rows = range(0, len(D), _PAIR_CHUNK)
     ecc = np.concatenate([(D[w : w + _PAIR_CHUNK, u] + D[w : w + _PAIR_CHUNK, v] + l).max(axis=1) for w in rows]) / 2.0
     bound = (l + ecc[u] + ecc[v]) / 2.0
@@ -730,11 +721,11 @@ def enumerate_simple_loops(G: MetricGraph, max_loops: int = 10000) -> tuple[Simp
 
     # vertex-simple cycles on >= 3 vertices over the simple skeleton,
     # expanded over every choice of parallel edge per hop
-    idx = {v: i for i, v in enumerate(G.vertices)}
     neighbors: dict[int, set[int]] = {i: set() for i in range(len(G.vertices))}
     for (u, v) in by_pair:
-        neighbors[idx[u]].add(idx[v])
-        neighbors[idx[v]].add(idx[u])
+        i, j = G.vertex_index[u], G.vertex_index[v]
+        neighbors[i].add(j)
+        neighbors[j].add(i)
 
     def expand_cycle(cycle: list[int]) -> None:
         hops = []

@@ -64,10 +64,13 @@ def hausdorff_sets(G: MetricGraph, A: PointSet, B: PointSet) -> float:
 # _distance_field in graph.py. Its candidate maxima are crossings between
 # the ascending pieces {s + d(u,A), s - t} and the descending ones
 # {(l-s) + d(v,A), t - s}, with t over the offsets of A on e: per edge 0, l
-# and (l + d(v,A) - d(u,A))/2; per source t, (t - d(u,A))/2,
-# (l + d(v,A) + t)/2 and t itself; per pair of neighbouring sources their
-# midpoint; and both ends of each excluded interval. The candidates of all
-# edges are evaluated at once.
+# and (l + d(v,A) - d(u,A))/2; per source t, (t - d(u,A))/2 and
+# (l + d(v,A) + t)/2; per pair of neighbouring sources their midpoint. The
+# source t itself and an end of an excluded interval [lo, hi] would also
+# qualify, but the distance is 0 at a source and the interval holds its own
+# ends, so neither can raise the supremum; only the ends of a reversed
+# interval (lo > hi, which excludes nothing) are candidates. The candidates
+# of all edges are evaluated at once.
 
 
 def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
@@ -83,8 +86,9 @@ def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
     te, t = keys.real.astype(np.int64), keys.imag
     pair = te[1:] == te[:-1]
     xe, lo, hi = excluded if excluded is not None else (te[:0], t[:0], t[:0])
+    rev = lo > hi
     edges = np.arange(len(l))
-    ce = np.concatenate([edges, edges, edges, te, te, te, te[1:][pair], xe, xe])
+    ce = np.concatenate([edges, edges, edges, te, te, te[1:][pair], xe[rev], xe[rev]])
     cs = np.concatenate(
         [
             np.zeros(len(l)),
@@ -92,23 +96,21 @@ def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
             (l + av - au) / 2.0,
             (t - au[te]) / 2.0,
             (l[te] + av[te] + t) / 2.0,
-            t,
             (t[:-1][pair] + t[1:][pair]) / 2.0,
-            lo,
-            hi,
+            lo[rev],
+            hi[rev],
         ]
     )
     keep = (0.0 <= cs) & (cs <= l[ce])
     ce, cs = ce[keep], cs[keep]
     val = np.minimum(cs + au[ce], (l[ce] - cs) + av[ce])
-    val = np.minimum(val, _same_edge_gap(ce, cs, src_e, src_t))
-    if len(xe):
+    val = np.minimum(val, _same_edge_gap(ce, cs, keys))
+    if not rev.all():
         # s lies in some [lo, hi] of its edge iff more of that edge's
         # intervals start at or before s than end before it; counting, not
         # a lookup of the preceding interval, stays exact when intervals
         # overlap, and holds only for those with lo <= hi (others cover nothing)
-        ok = lo <= hi
-        q = ce + 1j * cs
+        ok, q = ~rev, ce + 1j * cs
         starts = np.searchsorted(np.sort(xe[ok] + 1j * lo[ok]), q, side="right")
         ends = np.searchsorted(np.sort(xe[ok] + 1j * hi[ok]), q, side="left")
         val[starts > ends] = 0.0

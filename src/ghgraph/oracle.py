@@ -42,7 +42,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import EmptySet, GuardExceeded, InvalidMetric, NotACorrespondence
-from .graph import MetricGraph, PointSet, pairwise_distances
+from .graph import TOLERANCE, MetricGraph, PointSet, pairwise_distances
 
 __all__ = [
     "FiniteMetricSpace",
@@ -53,7 +53,6 @@ __all__ = [
     "is_isometric",
 ]
 
-_VALIDATION_TOL = 1e-9
 # cells per block of the triangle scan, about 16 MB of float64
 _TRIANGLE_BLOCK_CELLS = 1 << 21
 # gaps per block of the pair-compatibility build, 1 MB of float64
@@ -67,16 +66,20 @@ def _checked_axioms(d) -> np.ndarray:
         raise InvalidMetric("distance matrix must be square and non-empty")
     if not np.isfinite(d).all():
         raise InvalidMetric("distance matrix has non-finite entries")
-    if np.abs(np.diag(d)).max() > _VALIDATION_TOL:
+    if np.abs(np.diag(d)).max() > TOLERANCE:
         raise InvalidMetric("diagonal must be zero")
-    if d.shape[0] > 1:
-        if np.abs(d - d.T).max() > _VALIDATION_TOL:
-            raise InvalidMetric("matrix must be symmetric")
-        off = d[~np.eye(d.shape[0], dtype=bool)]
-        if off.min() <= 0.0:
-            raise InvalidMetric("off-diagonal distances must be positive")
+    if d.shape[0] > 1 and np.abs(d - d.T).max() > TOLERANCE:
+        raise InvalidMetric("matrix must be symmetric")
+    return _kept(d)
+
+
+def _kept(d: np.ndarray) -> np.ndarray:
+    """A read-only copy of ``d`` with the smaller of the two readings of each
+    distance and a zero diagonal, once its off-diagonal is checked positive."""
     d = np.minimum(d, d.T)  # a new array, exactly symmetric
     np.fill_diagonal(d, 0.0)
+    if d.shape[0] > 1 and d[~np.eye(d.shape[0], dtype=bool)].min() <= 0.0:
+        raise InvalidMetric("off-diagonal distances must be positive")
     d.flags.writeable = False
     return d
 
@@ -104,7 +107,7 @@ class FiniteMetricSpace:
         step = max(1, _TRIANGLE_BLOCK_CELLS // (n * n))
         for start in range(0, n, step):
             ks = slice(start, start + step)
-            bad = d[:, ks, None] + d[None, ks, :] + _VALIDATION_TOL < d[:, None, :]
+            bad = d[:, ks, None] + d[None, ks, :] + TOLERANCE < d[:, None, :]
             through = np.flatnonzero(bad.any(axis=(0, 2)))
             if through.size:
                 raise InvalidMetric(
@@ -115,9 +118,12 @@ class FiniteMetricSpace:
     @classmethod
     def _trusted(cls, d: np.ndarray) -> "FiniteMetricSpace":
         """A space whose matrix is a metric by construction, such as a graph
-        metric restricted to a point set: only the triangle scan is skipped."""
+        metric restricted to a point set: finite, with a zero diagonal and
+        readings of a distance that differ by rounding only, however large
+        the distances are. It is kept as construction keeps a matrix, with
+        only the positivity check and no triangle scan."""
         space = cls.__new__(cls)
-        space.d = _checked_axioms(d)
+        space.d = _kept(d)
         return space
 
     @property
@@ -377,10 +383,7 @@ def restrict_metric(G: MetricGraph, A: PointSet) -> FiniteMetricSpace:
     """The finite metric space induced on a point set by the graph metric."""
     if len(A) == 0:
         raise EmptySet("cannot restrict the metric to an empty set")
-    d = pairwise_distances(G, A, A)
-    d = np.minimum(d, d.T)  # exact symmetry
-    np.fill_diagonal(d, 0.0)
-    return FiniteMetricSpace._trusted(d)
+    return FiniteMetricSpace._trusted(pairwise_distances(G, A, A))
 
 
 # --------------------------------------------------------------------------
@@ -390,7 +393,7 @@ def restrict_metric(G: MetricGraph, A: PointSet) -> FiniteMetricSpace:
 def is_isometric(
     X: FiniteMetricSpace,
     Y: FiniteMetricSpace,
-    tol: float = _VALIDATION_TOL,
+    tol: float = TOLERANCE,
     max_points: int = 4096,
     node_guard: int = 2_000_000,
 ) -> tuple[bool, tuple[int, ...] | None]:

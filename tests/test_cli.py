@@ -264,6 +264,20 @@ def test_construct_net(capsys, seg_files, tmp_path):
     assert len(pts) == doc["verification"]["points"]
 
 
+def test_one_point_graph_bound_and_net(capsys, tmp_path):
+    graph = _write(tmp_path / "o.json", {"vertices": ["o"], "edges": []})
+    point = _write(tmp_path / "x.json", [{"vertex": "o"}])
+    code, doc = _run(capsys, ["bound", "--graph", graph, "--subset", point])
+    assert code == 0
+    certs = {c["theorem"]: c for c in doc["certificates"]}
+    assert certs["diameter"]["value"]["value"] == 0.0
+    prefix = str(tmp_path / "n")
+    code, doc = _run(capsys, ["construct", "net", "--graph", graph, "--epsilon", "0.1", "--out", prefix])
+    assert code == 0
+    assert doc["verification"]["d_H"]["value"] == 0.0
+    assert json.loads((tmp_path / "n-net.json").read_text()) == [{"vertex": "o"}]
+
+
 def test_construct_missing_args(capsys):
     assert main(["construct", "star"]) == 2
     assert main(["construct", "circle6"]) == 2

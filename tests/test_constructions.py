@@ -266,6 +266,17 @@ def test_epsilon_net_circle(circle):
     assert gg.hausdorff_graph_to_set(circle, net) == pytest.approx(PI / 3, abs=TAU)
 
 
+def test_one_point_graph():
+    # a vertex and no edge is a valid connected graph; its net is the vertex
+    G = gg.build_graph(["o"], [])
+    net = gg.epsilon_net(G, 0.1)
+    assert net.points == (gg.GraphPoint(vertex="o"),)
+    assert gg.graph_diameter(G) == 0.0
+    assert gg.hausdorff_graph_to_set(G, net) == 0.0
+    certs = {c.theorem: c for c in gg.best_bound(G, net)}
+    assert certs["diameter"].value == 0.0
+
+
 @pytest.mark.parametrize("eps", [0.6, 0.35, 0.2])
 def test_epsilon_net_covers(theta345, multi, eps):
     for G in (theta345, multi):

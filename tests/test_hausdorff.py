@@ -188,7 +188,10 @@ def _multigraph_with_region(draw):
     for e in G.edges:
         end = st.sampled_from([0.0, tol / 2, -tol / 2, e.length, e.length - tol / 2, e.length + tol / 2])
         end = end | share.map(lambda x: x * e.length)
-        ivs = draw(st.lists(st.tuples(end, end).map(sorted).map(tuple), max_size=3))
+        # mostly lo <= hi, as region makes them; some drawn unsorted, and a
+        # reversed interval (lo > hi) covers nothing but its ends are candidates
+        iv = st.tuples(end, end).map(sorted).map(tuple) | st.tuples(end, end)
+        ivs = draw(st.lists(iv, max_size=3))
         if ivs:
             intervals[e.id] = tuple(ivs)
     vertices = frozenset(draw(st.lists(st.sampled_from(G.vertices), max_size=2)))
@@ -205,6 +208,15 @@ def test_continuum_suprema_match_scalar_reference(case):
     assert gg.hausdorff_graph_to_region(G, W) == _brute.hausdorff_graph_to_region(G, W)
     T = gg.thickening(G, A, r)
     assert gg.hausdorff_graph_to_region(G, T) == _brute.hausdorff_graph_to_region(G, T)
+
+
+def test_graph_to_region_keeps_reversed_interval_ends(segment01):
+    # the ends of a reversed interval are snapped to u as sources, yet
+    # 5e-10 away from it and outside the one proper interval; dropping them
+    # as candidates would give 0.0
+    W = gg.EdgeIntervalSet({"seg": ((6e-10, 1.0), (5e-10, 2e-10))}, frozenset({"u"}))
+    assert gg.hausdorff_graph_to_region(segment01, W) == 5e-10
+    assert _brute.hausdorff_graph_to_region(segment01, W) == 5e-10
 
 
 _OFF_GRAPH = [

@@ -382,6 +382,53 @@ def test_is_isometric_tolerance():
     assert not gg.is_isometric(a, cbad)[0]
 
 
+def _srg_16_6_2_2(adjacent):
+    # path metric of a strongly regular (16, 6, 2, 2) graph on Z4 x Z4:
+    # diameter 2, so 1 between neighbours and 2 otherwise
+    pts = [(a, b) for a in range(4) for b in range(4)]
+    d = np.array([[0.0 if p == q else 1.0 if adjacent(p, q) else 2.0 for q in pts] for p in pts])
+    return gg.FiniteMetricSpace(d)
+
+
+def _rook(p, q):
+    return p[0] == q[0] or p[1] == q[1]
+
+
+def _shrikhande(p, q):
+    step = ((p[0] - q[0]) % 4, (p[1] - q[1]) % 4)
+    return step in {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+
+
+def test_is_isometric_backtracks_on_equal_rows():
+    # every sorted row of both spaces is the same, so only the backtracking
+    # search can tell the 4x4 rook's graph from the Shrikhande graph
+    rook, shri = _srg_16_6_2_2(_rook), _srg_16_6_2_2(_shrikhande)
+    assert (np.sort(rook.d, axis=1) == np.sort(shri.d, axis=1)[:1]).all()
+    assert gg.is_isometric(rook, shri) == (False, None)
+    perm = np.random.default_rng(3).permutation(16)
+    moved = gg.FiniteMetricSpace(shri.d[np.ix_(perm, perm)])
+    ok, found = gg.is_isometric(shri, moved)
+    assert ok
+    assert (shri.d == moved.d[np.ix_(found, found)]).all()
+
+
+def test_restrict_metric_keeps_large_graph_metrics():
+    # at lengths near 1e8 the two readings of a distance differ by more
+    # than TOLERANCE through rounding alone; the graph metric is still taken
+    # as its smaller reading, not rejected as asymmetric
+    G = gg.build_graph(
+        ["a", "b", "c"],
+        [("ab", "a", "b", 3.1e8), ("bc", "b", "c", 2.7e8), ("ca", "c", "a", 4.3e8)],
+    )
+    A = gg.point_set(G, [(e.id, k * e.length / 7.0) for e in G.edges for k in (1, 3, 5)])
+    d = gg.pairwise_distances(G, A, A)
+    assert np.abs(d - d.T).max() > gg.TOLERANCE
+    M = gg.restrict_metric(G, A)
+    want = np.minimum(d, d.T)
+    np.fill_diagonal(want, 0.0)
+    assert (M.d == want).all()
+
+
 def test_is_isometric_point_cap():
     M = gg.FiniteMetricSpace(np.array([[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(gg.GuardExceeded):
