@@ -18,10 +18,8 @@ from .graph import (
     MetricGraph,
     PointSet,
     boundary,
-    build_graph,
     circle_circumference,
     graph_diameter,
-    point_set,
     set_diameter,
     smallest_nonterminal_edge,
 )
@@ -346,13 +344,15 @@ def interval_gh_exact(
     xs = sorted(min(max(x, a), b) for x in xs)
     c, d = xs[0], xs[-1]
     overhang = (c - a + b - d) / 2.0
-    if d - c <= TOLERANCE:
-        inner = 0.0
-    else:
-        sub = build_graph(["u", "v"], [("e", "u", "v", d - c)])
-        pts = point_set(sub, [("e", x - c) for x in xs])
-        inner = hausdorff_graph_to_set(sub, pts)
-    return max(overhang, inner)
+    l = d - c
+    if l <= TOLERANCE:
+        return max(overhang, 0.0)
+    # offsets from c, snapped to an end within TOLERANCE as point_set does;
+    # the farthest point of [0, l] from the set is a neighbours' midpoint
+    offsets = (x - c for x in xs)
+    ps = [0.0] + [0.0 if p <= TOLERANCE else l if p >= l - TOLERANCE else p for p in offsets] + [l]
+    mids = [(p, (p + q) / 2.0, q) for p, q in zip(ps, ps[1:])]
+    return max(overhang, max(min(m - p, q - m) for p, m, q in mids))
 
 
 def best_bound(

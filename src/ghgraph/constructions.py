@@ -139,8 +139,8 @@ def region_net(G: MetricGraph, W: EdgeIntervalSet, delta: float) -> PointSet:
     if not delta > 0.0:
         raise NonPositiveEpsilon(f"delta must be positive, got {delta}")
     pts: list = sorted(W.vertices)
-    for eid in sorted(W.intervals):
-        for lo, hi in W.intervals[eid]:
+    for eid, ivs in sorted(W.intervals.items()):
+        for lo, hi in ivs:
             span = hi - lo
             m = max(1, math.ceil(span / (2.0 * delta)))
             step = span / m

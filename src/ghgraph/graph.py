@@ -760,23 +760,45 @@ def enumerate_simple_loops(G: MetricGraph, max_loops: int = 10000) -> tuple[Simp
 # regions: unions of open edge intervals plus marked vertices
 
 
-@dataclass(frozen=True)
 class EdgeIntervalSet:
-    """A region of the graph: per edge a tuple of disjoint open intervals,
-    plus the set of vertices the region contains.
+    """A region of the graph: open intervals on its edges plus the vertices
+    it contains, as read-only columns for the graph it was built on:
+    ``edge`` (edge index), ``lo`` and ``hi`` in edge order, and ``vertex``
+    (vertex indices).
 
-    Whether an endpoint of an interval belongs to the region is recorded
-    only through ``vertices``; intervals themselves are open. Operations
-    that need the closure of the region treat interval endpoints as
-    included.
+    Only :func:`region`, :func:`thickening` and :func:`whole_graph_region`
+    build one, and each guarantees that on every edge the intervals are
+    finite, satisfy 0 <= lo < hi <= l, and are sorted and disjoint. An
+    interval end belongs to the region only through ``vertex``; operations
+    on the closure of the region include the ends. ``intervals`` (edge id
+    to a tuple of ``(lo, hi)``) and ``vertices`` (a frozenset of ids) are
+    views built on each access.
     """
 
-    intervals: Mapping[str, tuple[tuple[float, float], ...]]
-    vertices: frozenset[str]
+    __slots__ = ("_graph", "edge", "lo", "hi", "vertex")
+
+    @classmethod
+    def _from_columns(cls, G: MetricGraph, edge, lo, hi, vertex) -> "EdgeIntervalSet":
+        W = cls.__new__(cls)
+        for a in (edge, lo, hi, vertex):
+            a.flags.writeable = False
+        W._graph, W.edge, W.lo, W.hi, W.vertex = G, edge, lo, hi, vertex
+        return W
+
+    @property
+    def intervals(self) -> dict[str, tuple[tuple[float, float], ...]]:
+        es, out = self._graph.edges, {}
+        for e, lo, hi in zip(self.edge.tolist(), self.lo.tolist(), self.hi.tolist()):
+            out.setdefault(es[e].id, []).append((lo, hi))
+        return {eid: tuple(ivs) for eid, ivs in out.items()}
+
+    @property
+    def vertices(self) -> frozenset[str]:
+        return frozenset(self._graph.vertices[w] for w in self.vertex.tolist())
 
     @property
     def is_empty(self) -> bool:
-        return not self.vertices and all(not iv for iv in self.intervals.values())
+        return len(self.edge) == 0 and len(self.vertex) == 0
 
 
 def region(
@@ -784,36 +806,39 @@ def region(
     intervals: Mapping[str, Iterable[tuple[float, float]]],
     vertices: Iterable[str] = (),
 ) -> EdgeIntervalSet:
-    """Validate and normalize a region description."""
-    norm: dict[str, tuple[tuple[float, float], ...]] = {}
+    """Validate a region description and build it on G.
+
+    ``intervals`` maps edge ids to ``(lo, hi)`` offsets from the edge's u
+    end, in any order. An unknown edge or vertex id, or an end that is not
+    finite or lies off its edge by more than ``TOLERANCE``, raises
+    ``PointNotOnGraph``, as :func:`edge_point` and :func:`vertex_point` do.
+    Ends are then clamped to [0, l]; an interval that is empty once clamped
+    (hi <= lo), or that overlaps another on its edge, raises
+    ``ValidationError``.
+    """
+    rows = []
     for eid, ivs in intervals.items():
-        e = G.edge(eid)
-        cleaned = sorted((float(lo), float(hi)) for lo, hi in ivs)
-        prev_hi = -np.inf
-        kept = []
-        for lo, hi in cleaned:
-            if lo < -TOLERANCE or hi > e.length + TOLERANCE or hi <= lo:
-                raise ValidationError(
-                    f"interval ({lo}, {hi}) invalid on edge {eid!r} of length {e.length}"
-                )
-            lo, hi = max(lo, 0.0), min(hi, e.length)
-            if lo < prev_hi:
-                raise ValidationError(f"overlapping intervals on edge {eid!r}")
-            prev_hi = hi
-            kept.append((lo, hi))
-        if kept:
-            norm[eid] = tuple(kept)
-    vset = frozenset(str(v) for v in vertices)
-    for v in vset:
-        if v not in G.vertex_index:
-            raise ValidationError(f"region references unknown vertex {v!r}")
-    return EdgeIntervalSet(norm, vset)
+        e, k = G.edge(eid), G.edge_index[eid]
+        for lo, hi in ivs:
+            edge_point(G, eid, lo), edge_point(G, eid, hi)  # each end on the edge
+            lo, hi = max(float(lo), 0.0), min(float(hi), e.length)
+            if hi <= lo:
+                raise ValidationError(f"interval ({lo}, {hi}) is empty on edge {eid!r}")
+            rows.append((k, lo, hi))
+    table = np.array(sorted(rows), dtype=float).reshape(-1, 3)
+    edge, lo, hi = table[:, 0].astype(np.int64), table[:, 1], table[:, 2]
+    overlap = (edge[1:] == edge[:-1]) & (lo[1:] < hi[:-1])
+    if overlap.any():
+        raise ValidationError(f"overlapping intervals on edge {G.edges[edge[np.argmax(overlap)]].id!r}")
+    ids = [vertex_point(G, str(v)).vertex for v in vertices]
+    vertex = np.unique(np.array([G.vertex_index[v] for v in ids], dtype=np.int64))
+    return EdgeIntervalSet._from_columns(G, edge, lo, hi, vertex)
 
 
 def whole_graph_region(G: MetricGraph) -> EdgeIntervalSet:
-    return EdgeIntervalSet(
-        {e.id: ((0.0, e.length),) for e in G.edges},
-        frozenset(G.vertices),
+    E = len(G.edges)
+    return EdgeIntervalSet._from_columns(
+        G, np.arange(E), np.zeros(E), G.edge_length, np.arange(len(G.vertices))
     )
 
 
@@ -832,7 +857,6 @@ def thickening(G: MetricGraph, A: PointSet, r: float) -> EdgeIntervalSet:
         raise EmptySet("thickening of an empty point set")
     fa = _fields(G, A)
     vdist = _distance_field(G, fa)
-    vertices = frozenset(G.vertices[w] for w in np.flatnonzero(vdist < r))
     # raw intervals from u, from v and around each source on an edge; one
     # that is empty (hi <= lo) is dropped, which also drops those from an
     # end farther than r from A
@@ -851,11 +875,9 @@ def thickening(G: MetricGraph, A: PointSet, r: float) -> EdgeIntervalSet:
     new = np.ones(len(edge), dtype=bool)
     new[1:] = (edge[1:] != reach[:-1].real) | (lo[1:] >= reach[:-1].imag)
     start = np.flatnonzero(new)
-    frags = list(zip(lo[start].tolist(), np.maximum.reduceat(hi, start).tolist()))
-    fe, first = np.unique(edge[start], return_index=True)
-    cut = np.append(first, len(start)).tolist()
-    intervals = {G.edges[e].id: tuple(frags[i:j]) for e, i, j in zip(fe.tolist(), cut, cut[1:])}
-    return EdgeIntervalSet(intervals, vertices)
+    return EdgeIntervalSet._from_columns(
+        G, edge[start], lo[start], np.maximum.reduceat(hi, start), np.flatnonzero(vdist < r)
+    )
 
 
 def region_is_connected(G: MetricGraph, W: EdgeIntervalSet) -> bool:
@@ -864,33 +886,17 @@ def region_is_connected(G: MetricGraph, W: EdgeIntervalSet) -> bool:
     Fragments are the open intervals and the included vertices; an interval
     joins a vertex exactly when it reaches offset 0 or the full edge length
     and that endpoint vertex belongs to the region. The empty region counts
-    as connected.
+    as connected. A region built on another graph is read by its ids.
     """
-    parent: dict[object, object] = {}
-
-    def find(x):
-        while parent[x] is not x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx is not ry:
-            parent[rx] = ry
-
-    for v in W.vertices:
-        parent[("v", v)] = ("v", v)
-    for eid, ivs in W.intervals.items():
-        e = G.edge(eid)
-        for k, (lo, hi) in enumerate(ivs):
-            node = ("i", eid, k)
-            parent[node] = node
-            if lo == 0.0 and e.u in W.vertices:
-                union(node, ("v", e.u))
-            if hi == e.length and e.v in W.vertices:
-                union(node, ("v", e.v))
-    if not parent:
-        return True
-    roots = {find(x) for x in parent}
-    return len(roots) == 1
+    if W._graph is not G:
+        W = region(G, W.intervals, W.vertices)
+    nv, k = len(W.vertex), len(W.edge)
+    node = np.full(len(G.vertices), -1)
+    node[W.vertex] = np.arange(nv)
+    a, b = node[G.edge_u[W.edge]], node[G.edge_v[W.edge]]
+    at_u = (W.lo == 0.0) & (a >= 0)
+    at_v = (W.hi == G.edge_length[W.edge]) & (b >= 0)
+    iv = nv + np.arange(k)
+    links = (np.concatenate([iv[at_u], iv[at_v]]), np.concatenate([a[at_u], b[at_v]]))
+    adj = csr_matrix((np.ones(len(links[0])), links), shape=(nv + k, nv + k))
+    return connected_components(adj, directed=False, return_labels=False) <= 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyRegion, EmptySet, PointNotOnGraph
+from .errors import EmptyRegion, EmptySet
 from .graph import (
     EdgeIntervalSet,
     MetricGraph,
@@ -27,7 +27,7 @@ from .graph import (
     _same_edge_gap,
     _set_distances,
     _snapped,
-    edge_point,
+    region,
 )
 
 __all__ = [
@@ -68,9 +68,8 @@ def hausdorff_sets(G: MetricGraph, A: PointSet, B: PointSet) -> float:
 # (l + d(v,A) + t)/2; per pair of neighbouring sources their midpoint. The
 # source t itself and an end of an excluded interval [lo, hi] would also
 # qualify, but the distance is 0 at a source and the interval holds its own
-# ends, so neither can raise the supremum; only the ends of a reversed
-# interval (lo > hi, which excludes nothing) are candidates. The candidates
-# of all edges are evaluated at once.
+# ends, so neither can raise the supremum. The candidates of all edges are
+# evaluated at once.
 
 
 def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
@@ -85,10 +84,8 @@ def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
     keys = np.unique(src_e[src_e >= 0] + 1j * src_t[src_e >= 0])
     te, t = keys.real.astype(np.int64), keys.imag
     pair = te[1:] == te[:-1]
-    xe, lo, hi = excluded if excluded is not None else (te[:0], t[:0], t[:0])
-    rev = lo > hi
     edges = np.arange(len(l))
-    ce = np.concatenate([edges, edges, edges, te, te, te[1:][pair], xe[rev], xe[rev]])
+    ce = np.concatenate([edges, edges, edges, te, te, te[1:][pair]])
     cs = np.concatenate(
         [
             np.zeros(len(l)),
@@ -97,22 +94,20 @@ def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
             (t - au[te]) / 2.0,
             (l[te] + av[te] + t) / 2.0,
             (t[:-1][pair] + t[1:][pair]) / 2.0,
-            lo[rev],
-            hi[rev],
         ]
     )
     keep = (0.0 <= cs) & (cs <= l[ce])
     ce, cs = ce[keep], cs[keep]
     val = np.minimum(cs + au[ce], (l[ce] - cs) + av[ce])
     val = np.minimum(val, _same_edge_gap(ce, cs, keys))
-    if not rev.all():
+    if excluded is not None:
         # s lies in some [lo, hi] of its edge iff more of that edge's
-        # intervals start at or before s than end before it; counting, not
-        # a lookup of the preceding interval, stays exact when intervals
-        # overlap, and holds only for those with lo <= hi (others cover nothing)
-        ok, q = ~rev, ce + 1j * cs
-        starts = np.searchsorted(np.sort(xe[ok] + 1j * lo[ok]), q, side="right")
-        ends = np.searchsorted(np.sort(xe[ok] + 1j * hi[ok]), q, side="left")
+        # intervals start at or before s than end before it; a region's
+        # intervals are sorted and disjoint per edge, so both keys are sorted
+        xe, lo, hi = excluded
+        q = ce + 1j * cs
+        starts = np.searchsorted(xe + 1j * lo, q, side="right")
+        ends = np.searchsorted(xe + 1j * hi, q, side="left")
         val[starts > ends] = 0.0
     return float(np.max(val, initial=0.0))
 
@@ -129,31 +124,21 @@ def hausdorff_graph_to_set(G: MetricGraph, A: PointSet) -> float:
 
 
 def _region_sources(G: MetricGraph, W: EdgeIntervalSet):
-    """``_fields`` of W's vertices and of its interval ends, checked and
-    snapped to the edge's vertices as ``edge_point`` does, and the intervals
-    as (edge, lo, hi) arrays."""
-    items = [(eid, ivs) for eid, ivs in W.intervals.items() if ivs]
-    try:
-        idx = [G.edge_index[eid] for eid, _ in items]
-    except KeyError as err:
-        raise PointNotOnGraph(f"unknown edge id {err.args[0]!r}") from None
-    xe = np.repeat(np.array(idx, dtype=np.int64), [len(ivs) for _, ivs in items])
-    lohi = np.array([iv for _, ivs in items for iv in ivs], dtype=float).reshape(-1, 2)
-    edge, off = np.concatenate([xe, xe]), np.concatenate([lohi[:, 0], lohi[:, 1]])
-    edge, w, off, bad = _snapped(G, edge, np.full(len(edge), -1), off)
-    if bad is not None:
-        edge_point(G, G.edges[edge[bad]].id, off[bad])
-    try:
-        verts = np.array([G.vertex_index[v] for v in W.vertices], dtype=np.int64)
-    except KeyError as err:
-        raise PointNotOnGraph(f"unknown vertex id {err.args[0]!r}") from None
+    """``_fields`` of W's vertices and of its interval ends, snapped to the
+    edge's vertices as ``edge_point`` does, and the intervals as
+    (edge, lo, hi) columns. A region built on another graph is read by its
+    ids."""
+    if W._graph is not G:
+        W = region(G, W.intervals, W.vertices)
+    edge, off = np.concatenate([W.edge, W.edge]), np.concatenate([W.lo, W.hi])
+    edge, w, off, _ = _snapped(G, edge, np.full(len(edge), -1), off)
     fa = _fields_from_arrays(
         G,
-        np.concatenate([np.full(len(verts), -1), edge]),
-        np.concatenate([verts, w]),
-        np.concatenate([np.zeros(len(verts)), off]),
+        np.concatenate([np.full(len(W.vertex), -1), edge]),
+        np.concatenate([W.vertex, w]),
+        np.concatenate([np.zeros(len(W.vertex)), off]),
     )
-    return fa, (xe, lohi[:, 0], lohi[:, 1])
+    return fa, (W.edge, W.lo, W.hi)
 
 
 def hausdorff_graph_to_region(G: MetricGraph, W: EdgeIntervalSet) -> float:

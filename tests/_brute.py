@@ -10,7 +10,10 @@ filled by a loop over the edges. The continuum
 Hausdorff reference is the scalar per-edge envelope loop; it reads the
 graph's own multi-source distance field, so it checks the envelope, not the
 field. The point-set and thickening references are the per-spec
-``edge_point`` loop and the per-edge interval merge. The exact GH search
+``edge_point`` loop and the per-edge interval merge; a thickening is a plain
+record of interval and vertex ids. The region connectivity reference is a
+union-find over intervals and vertices, and the interval GH reference takes
+the supremum on a one-edge graph over the subset's span. The exact GH search
 reference is the float forward-check search the pair-bitmask search
 replaced; it walks the same tree and counts the same assignments.
 """
@@ -21,6 +24,7 @@ import heapq
 import itertools
 import math
 from bisect import bisect_left
+from collections import namedtuple
 
 import numpy as np
 
@@ -377,6 +381,9 @@ def _merge_open(raw):
     return tuple((lo, hi) for lo, hi in merged)
 
 
+Region = namedtuple("Region", "intervals vertices")
+
+
 def thickening(G, A, r):
     """Union of open balls of radius r around the points A, edge by edge;
     reads the graph's own multi-source distance field."""
@@ -400,7 +407,61 @@ def thickening(G, A, r):
         merged = _merge_open(raw)
         if merged:
             intervals[e.id] = merged
-    return gg.EdgeIntervalSet(intervals, vertices)
+    return Region(intervals, vertices)
+
+
+# --------------------------------------------------------------------------
+# region connectivity and the interval GH value: the union-find over
+# intervals and vertices, and the graph supremum on a one-edge graph over
+# the subset's span, kept frozen as the references the connected-components
+# call and the closed-form midpoint scan must match exactly
+
+
+def region_is_connected(G, W):
+    """True iff W is path-connected, by union-find over its fragments."""
+    parent: dict[object, object] = {}
+
+    def find(x):
+        while parent[x] is not x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx is not ry:
+            parent[rx] = ry
+
+    for v in W.vertices:
+        parent[("v", v)] = ("v", v)
+    for eid, ivs in W.intervals.items():
+        e = G.edge(eid)
+        for k, (lo, hi) in enumerate(ivs):
+            node = ("i", eid, k)
+            parent[node] = node
+            if lo == 0.0 and e.u in W.vertices:
+                union(node, ("v", e.u))
+            if hi == e.length and e.v in W.vertices:
+                union(node, ("v", e.v))
+    if not parent:
+        return True
+    roots = {find(x) for x in parent}
+    return len(roots) == 1
+
+
+def interval_gh_exact(a, b, X):
+    """GH distance between [a, b] and the coordinates X (all within
+    TOLERANCE of [a, b]): the larger of half the overhang and the supremum
+    on a one-edge graph over X's span."""
+    xs = sorted(min(max(float(x), a), b) for x in X)
+    c, d = xs[0], xs[-1]
+    overhang = (c - a + b - d) / 2.0
+    if d - c <= gg.TOLERANCE:
+        inner = 0.0
+    else:
+        sub = gg.build_graph(["u", "v"], [("e", "u", "v", d - c)])
+        inner = hausdorff_graph_to_set(sub, point_set(sub, [("e", x - c) for x in xs]))
+    return max(overhang, inner)
 
 
 # --------------------------------------------------------------------------

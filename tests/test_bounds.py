@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import ghgraph as gg
 from ghgraph import bounds as bounds_mod
 
+import _brute
 from _brute import gh_by_enumeration
 
 TAU = 1e-9
@@ -278,6 +279,29 @@ def test_interval_translation_and_scaling(xs, shift, lam):
     assert moved == pytest.approx(base, abs=1e-7)
     scaled = gg.interval_gh_exact(0.0, lam, [lam * x for x in xs])
     assert scaled == pytest.approx(lam * base, rel=1e-7, abs=1e-7)
+
+
+@st.composite
+def _interval_instance(draw):
+    # spans from 1e-6 to 1e6; extra points within TOLERANCE of the subset's
+    # own span ends, where the offsets snap, and of [a, b]; repeated points
+    tol = gg.TOLERANCE
+    a = draw(st.sampled_from([0.0, -1.0]) | st.floats(-1e3, 1e3))
+    length = draw(st.sampled_from([1e-6, 1.0, 1e6]) | st.floats(1e-6, 1e6))
+    b = a + length
+    xs = draw(st.lists(st.floats(0.0, 1.0).map(lambda x: a + x * length), min_size=1, max_size=6))
+    c, d = min(xs), max(xs)
+    near = [c + tol / 2, c + tol, c + 2 * tol, d - tol / 2, d - tol, d - 2 * tol, a - tol / 2, b + tol / 2]
+    xs += [x for x in draw(st.lists(st.sampled_from(near), max_size=3)) if a - tol <= x <= b + tol]
+    xs += draw(st.lists(st.sampled_from(xs), max_size=3))
+    return a, b, draw(st.permutations(xs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_interval_instance())
+def test_interval_matches_one_edge_graph_reference(case):
+    a, b, xs = case
+    assert gg.interval_gh_exact(a, b, xs) == _brute.interval_gh_exact(a, b, xs)
 
 
 def test_interval_agrees_with_tree_equality(segment02):

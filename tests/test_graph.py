@@ -378,9 +378,25 @@ def test_region_validation(segment01):
         gg.region(segment01, {"seg": [(0.0, 0.6), (0.5, 1.0)]})
     with pytest.raises(gg.PointNotOnGraph):
         gg.region(segment01, {"zig": [(0.0, 0.5)]})
+    # an end that is not finite or off its edge, and an unknown vertex, are
+    # not on the graph
+    for bad in [(0.2, math.nan), (math.nan, 0.5), (0.2, math.inf), (-2e-9, 0.5)]:
+        with pytest.raises(gg.PointNotOnGraph):
+            gg.region(segment01, {"seg": [bad]})
+    with pytest.raises(gg.PointNotOnGraph):
+        gg.region(segment01, {}, ["zz"])
+    # an interval empty once clamped is rejected like a raw (1.0, 1.0)
+    for empty in [[(1.0, 1.0)], [(-8e-10, -5e-10), (0.0, 0.5)], [(1 + 5e-10, 1 + 8e-10)]]:
+        with pytest.raises(gg.ValidationError):
+            gg.region(segment01, {"seg": empty}, ["u"])
     # rounding-level overshoot is clamped, not rejected
     W = gg.region(segment01, {"seg": [(-1e-12, 0.5)]})
     assert W.intervals == {"seg": ((0.0, 0.5),)}
+    # intervals come back sorted, and a connected region is one piece
+    W = gg.region(segment01, {"seg": [(0.5, 1.0 + 5e-10), (-5e-10, 0.5)]}, ["u"])
+    assert W.intervals == {"seg": ((0.0, 0.5), (0.5, 1.0))}
+    assert W.vertices == frozenset({"u"})
+    assert gg.region_is_connected(segment01, gg.region(segment01, {"seg": [(-5e-10, 0.5)]}, ["u"]))
 
 
 def test_whole_graph_region(theta345):
@@ -515,6 +531,7 @@ def test_point_set_and_thickening_match_scalar_reference(case):
     assert list(W.intervals.items()) == list(W_ref.intervals.items())
     assert W.vertices == W_ref.vertices
     assert gg.hausdorff_graph_to_region(G, W) == _brute.hausdorff_graph_to_region(G, W_ref)
+    assert gg.region_is_connected(G, W) == _brute.region_is_connected(G, W_ref)
 
 
 _GOOD_SPECS = ["u", ("a", 1.0), gg.GraphPoint(vertex="w"), gg.GraphPoint(edge="self", offset=0.5), ("b", 0.0)]
@@ -586,6 +603,13 @@ def test_point_set_on_another_graph(multi):
             query(lacking, A)
     with pytest.raises(gg.PointNotOnGraph, match="unknown edge id 'self'"):
         gg.thickening(lacking, A, 0.4)
+    # so is a region: the same value on a copy of its graph, an error where
+    # an edge is missing
+    W = gg.thickening(multi, A, 0.4)
+    for query in (gg.hausdorff_graph_to_region, gg.region_is_connected):
+        assert query(same, W) == query(multi, W)
+        with pytest.raises(gg.PointNotOnGraph, match="unknown edge id 'self'"):
+            query(lacking, W)
     # a set built on the smaller graph reads as its points on the larger one
     C = gg.point_set(lacking, specs[:2] + specs[3:])
     assert _queries(multi, C, B) == _queries(multi, gg.point_set(multi, specs[:2] + specs[3:]), B)

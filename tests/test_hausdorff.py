@@ -173,9 +173,10 @@ def _draw_multigraph(draw, length):
 @st.composite
 def _multigraph_with_region(draw):
     # sources mix vertices and points on the edges, often two on one edge
-    # and none on others; the hand-built region has intervals that may
-    # overlap and whose ends may lie within TOLERANCE of 0 or l (inside or
-    # just outside the edge), so that snapping runs
+    # and none on others; the region is built by gg.region from intervals
+    # given in any order, some touching, whose ends may lie within
+    # TOLERANCE of 0 or l (inside or just outside the edge), so that
+    # clamping and snapping run
     n, _, G = _draw_multigraph(draw, st.sampled_from([0.5, 1.0, 2.0]) | st.floats(0.25, 3.0))
     share = st.sampled_from([0.25, 0.5, 0.75]) | st.floats(0.0, 1.0)
     point = st.one_of(
@@ -188,14 +189,14 @@ def _multigraph_with_region(draw):
     for e in G.edges:
         end = st.sampled_from([0.0, tol / 2, -tol / 2, e.length, e.length - tol / 2, e.length + tol / 2])
         end = end | share.map(lambda x: x * e.length)
-        # mostly lo <= hi, as region makes them; some drawn unsorted, and a
-        # reversed interval (lo > hi) covers nothing but its ends are candidates
-        iv = st.tuples(end, end).map(sorted).map(tuple) | st.tuples(end, end)
-        ivs = draw(st.lists(iv, max_size=3))
+        # ends with distinct clamped values, in order; neighbours may become
+        # intervals, which then only touch
+        cuts = sorted({min(max(x, 0.0), e.length): x for x in draw(st.lists(end, max_size=5))}.items())
+        ivs = [(p[1], q[1]) for p, q in zip(cuts, cuts[1:]) if draw(st.booleans())]
         if ivs:
-            intervals[e.id] = tuple(ivs)
-    vertices = frozenset(draw(st.lists(st.sampled_from(G.vertices), max_size=2)))
-    W = gg.EdgeIntervalSet(intervals, vertices or frozenset(G.vertices[:1]))
+            intervals[e.id] = draw(st.permutations(ivs))
+    vertices = draw(st.lists(st.sampled_from(G.vertices), max_size=2))
+    W = gg.region(G, intervals, vertices or G.vertices[:1])
     r = draw(st.floats(0.05, 2.0))
     return G, A, W, r
 
@@ -210,13 +211,13 @@ def test_continuum_suprema_match_scalar_reference(case):
     assert gg.hausdorff_graph_to_region(G, T) == _brute.hausdorff_graph_to_region(G, T)
 
 
-def test_graph_to_region_keeps_reversed_interval_ends(segment01):
-    # the ends of a reversed interval are snapped to u as sources, yet
-    # 5e-10 away from it and outside the one proper interval; dropping them
-    # as candidates would give 0.0
-    W = gg.EdgeIntervalSet({"seg": ((6e-10, 1.0), (5e-10, 2e-10))}, frozenset({"u"}))
-    assert gg.hausdorff_graph_to_region(segment01, W) == 5e-10
-    assert _brute.hausdorff_graph_to_region(segment01, W) == 5e-10
+@settings(max_examples=200, deadline=None)
+@given(_multigraph_with_region())
+def test_region_connectivity_matches_union_find(case):
+    G, A, W, r = case
+    assert gg.region_is_connected(G, W) == _brute.region_is_connected(G, W)
+    T = gg.thickening(G, A, r)
+    assert gg.region_is_connected(G, T) == _brute.region_is_connected(G, T)
 
 
 _OFF_GRAPH = [
@@ -234,9 +235,8 @@ _OFF_GRAPH = [
     "intervals, vertices", _OFF_GRAPH, ids=[f"intervals{i}" for i in range(len(_OFF_GRAPH))]
 )
 def test_graph_to_region_rejects_points_off_the_graph(multi, intervals, vertices):
-    W = gg.EdgeIntervalSet(intervals, frozenset(vertices))
     with pytest.raises(gg.PointNotOnGraph):
-        gg.hausdorff_graph_to_region(multi, W)
+        gg.region(multi, intervals, vertices)
 
 
 # --------------------------------------------------------------------------
