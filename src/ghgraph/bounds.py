@@ -339,7 +339,7 @@ def interval_gh_exact(
     if not xs:
         raise EmptySet("X must be nonempty")
     for x in xs:
-        if x < a - TOLERANCE or x > b + TOLERANCE:
+        if not a - TOLERANCE <= x <= b + TOLERANCE:
             raise PointOutsideInterval(f"point {x} outside [{a}, {b}]")
     xs = sorted(min(max(x, a), b) for x in xs)
     c, d = xs[0], xs[-1]

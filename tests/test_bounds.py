@@ -249,6 +249,9 @@ def test_interval_accepts_point_sets(segment02):
 def test_interval_errors():
     with pytest.raises(gg.PointOutsideInterval):
         gg.interval_gh_exact(0.0, 1.0, [1.5])
+    for xs in ([math.nan], [0.2, math.nan, 0.5]):
+        with pytest.raises(gg.PointOutsideInterval):
+            gg.interval_gh_exact(0.0, 1.0, xs)
     with pytest.raises(gg.PointOutsideInterval):
         gg.interval_gh_exact(1.0, 0.0, [0.5])
     with pytest.raises(gg.EmptySet):
