@@ -12,11 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .errors import EmptySet, NotATree, PointOutsideInterval
 from .graph import (
     TOLERANCE,
     MetricGraph,
     PointSet,
+    _fields,
+    _is_circle,
+    _is_segment,
+    _is_tree,
     boundary,
     circle_circumference,
     graph_diameter,
@@ -117,8 +123,7 @@ def diameter_bound(
 
 
 def _require_tree(T: MetricGraph) -> None:
-    # connected multigraph is loop-free iff |E| = |V| - 1
-    if len(T.edges) != len(T.vertices) - 1:
+    if not _is_tree(T):
         raise NotATree("graph contains a simple loop")
 
 
@@ -240,7 +245,7 @@ def graph_bound(G: MetricGraph, X: PointSet) -> BoundCertificate:
     Loop-free graphs delegate to the tree result. When the graph has
     leaves, d_H must strictly exceed the directed leaf-to-subset distance.
     """
-    if len(G.edges) == len(G.vertices) - 1:
+    if _is_tree(G):
         return tree_equality(G, X)
     _require_nonempty(X, "X")
     return _graph_bound(G, X, hausdorff_graph_to_set(G, X))
@@ -260,7 +265,7 @@ def _graph_bound(G: MetricGraph, X: PointSet, h: float) -> BoundCertificate:
 
 def graph_pair_bound(G: MetricGraph, X: PointSet, Y: PointSet) -> BoundCertificate:
     """GH bound min{d_H(X,Y) - 2*eps, e(G)/12 - eps} for co-embedded subsets."""
-    if len(G.edges) == len(G.vertices) - 1:
+    if _is_tree(G):
         return tree_pair_bound(G, X, Y)
     _require_nonempty(X, "X")
     _require_nonempty(Y, "Y")
@@ -292,30 +297,6 @@ def _graph_pair_bound(
     return BoundCertificate(0.0, INAPPLICABLE, "graph-pair", hyps, h_xy)
 
 
-def _segment_data(G: MetricGraph) -> tuple[str, str, float] | None:
-    if len(G.vertices) == 2 and len(G.edges) == 1:
-        e = G.edges[0]
-        if e.u != e.v:
-            return e.u, e.v, e.length
-    return None
-
-
-def _segment_coordinates(G: MetricGraph, X: PointSet, a: float) -> list[float]:
-    seg = _segment_data(G)
-    if seg is None:
-        raise NotATree("point set does not live on a single segment")
-    u, v, length = seg
-    out = []
-    for p in X:
-        if p.vertex == u:
-            out.append(a)
-        elif p.vertex == v:
-            out.append(a + length)
-        else:
-            out.append(a + p.offset)
-    return out
-
-
 def interval_gh_exact(
     a: float,
     b: float,
@@ -333,7 +314,10 @@ def interval_gh_exact(
     if isinstance(X, PointSet):
         if G is None:
             raise PointOutsideInterval("a PointSet needs its segment graph")
-        xs = _segment_coordinates(G, X, a)
+        if not _is_segment(G):
+            raise NotATree("point set does not live on a single segment")
+        _, w, _, off, _ = _fields(G, X)  # a point's offset from u, or the vertex it is
+        xs = (a + off + np.where(w == G.edge_v[0], G.edge_length[0], 0.0)).tolist()
     else:
         xs = [float(x) for x in X]
     if not xs:
@@ -366,22 +350,19 @@ def best_bound(
     """
     _require_nonempty(X, "X")
     certs: list[BoundCertificate] = []
-    is_tree = len(G.edges) == len(G.vertices) - 1
-    is_circle = len(G.vertices) == 1 and len(G.edges) == 1 and G.edges[0].u == G.edges[0].v
 
     if Y is None:
         h = hausdorff_graph_to_set(G, X)
         certs.append(diameter_bound(graph_diameter(G), set_diameter(G, X), h))
-        if is_tree:
+        if _is_tree(G):
             certs.append(_tree_equality(G, X, h))
-            seg = _segment_data(G)
-            if seg is not None:
-                value = interval_gh_exact(0.0, seg[2], X, G)
+            if _is_segment(G):
+                value = interval_gh_exact(0.0, float(G.edge_length[0]), X, G)
                 certs.append(
                     BoundCertificate(value, EXACT_VALUE, "interval-exact", (), value)
                 )
         else:
-            if is_circle:
+            if _is_circle(G):
                 certs.append(_circle_bound(circle_circumference(G), h))
             certs.append(_graph_bound(G, X, h))
     else:
@@ -391,10 +372,10 @@ def best_bound(
         certs.append(
             diameter_bound(set_diameter(G, X), set_diameter(G, Y), h_xy)
         )
-        if is_tree:
+        if _is_tree(G):
             certs.append(_tree_pair_bound(G, X, eps, h_xy))
         else:
-            if is_circle:
+            if _is_circle(G):
                 certs.append(_circle_pair_bound(circle_circumference(G), eps, h_xy))
             h_x = hausdorff_graph_to_set(G, X)
             certs.append(_graph_pair_bound(G, X, h_x, eps, h_xy))

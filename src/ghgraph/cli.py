@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import random
@@ -127,19 +128,23 @@ def load_graph(path: str) -> MetricGraph:
         raise ParseError(f"{path}: graph document needs 'vertices' and 'edges'")
     if not isinstance(doc["vertices"], list) or not isinstance(doc["edges"], list):
         raise ParseError(f"{path}: 'vertices' and 'edges' must be lists")
-    edges = []
+    # ids are checked by type once per document; build_graph takes their text
+    try:
+        edges = [(e["id"], e["u"], e["v"], parse_real(e["length"], "edge length")) for e in doc["edges"]]
+        ok = set(map(type, itertools.chain(doc["vertices"], *(e[:3] for e in edges)))) <= {str, int, float}
+    except (ParseError, TypeError, KeyError):
+        ok = False
+    if ok:
+        return build_graph(doc["vertices"], edges)
+    # the first bad entry in document order raises
     for e in doc["edges"]:
         if not isinstance(e, dict) or not {"id", "u", "v", "length"} <= set(e):
             raise ParseError(f"{path}: edge entries need id, u, v, length")
-        edges.append(
-            (
-                _parse_id(e["id"], "edge id"),
-                _parse_id(e["u"], "edge end"),
-                _parse_id(e["v"], "edge end"),
-                parse_real(e["length"], "edge length"),
-            )
-        )
-    return build_graph([_parse_id(v, "vertex id") for v in doc["vertices"]], edges)
+        _parse_id(e["id"], "edge id"), _parse_id(e["u"], "edge end"), _parse_id(e["v"], "edge end")
+        parse_real(e["length"], "edge length")
+    for v in doc["vertices"]:
+        _parse_id(v, "vertex id")
+    raise ParseError(f"{path}: graph document rejected")
 
 
 def load_subset(path: str, G: MetricGraph) -> PointSet:
@@ -173,17 +178,13 @@ def load_matrix(path: str) -> FiniteMetricSpace:
 
 
 def _graph_doc(G: MetricGraph, length_tokens: dict[str, str] | None = None) -> dict:
-    tokens = length_tokens or {}
+    tokens, vs = length_tokens or {}, G.vertices
+    edges = zip(G.edge_ids, G.edge_u.tolist(), G.edge_v.tolist(), G.edge_length.tolist())
     return {
-        "vertices": list(G.vertices),
+        "vertices": list(vs),
         "edges": [
-            {
-                "id": e.id,
-                "u": e.u,
-                "v": e.v,
-                "length": tokens.get(e.id, _sig12(e.length)),
-            }
-            for e in G.edges
+            {"id": eid, "u": vs[i], "v": vs[j], "length": tokens.get(eid, _sig12(length))}
+            for eid, i, j, length in edges
         ],
     }
 
@@ -208,10 +209,14 @@ def _region_doc(W: EdgeIntervalSet) -> dict:
     }
 
 
+def _json_text(doc: Any) -> str:
+    """The one JSON serialization of every report and written file."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
 def _write_json(path: str, doc: Any) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        fh.write(_json_text(doc))
 
 
 def _certificate_doc(cert: BoundCertificate) -> dict:
@@ -375,12 +380,11 @@ def _cmd_construct(args: argparse.Namespace) -> dict:
 
 
 def _random_subset(G: MetricGraph, rng: random.Random, npts: int) -> PointSet:
-    edges = list(G.edges)
-    weights = [e.length for e in edges]
+    ids, lengths = G.edge_ids, G.edge_length.tolist()
     specs = []
     for _ in range(npts):
-        e = rng.choices(edges, weights=weights)[0]
-        specs.append((e.id, rng.random() * e.length))
+        k = rng.choices(range(len(ids)), weights=lengths)[0]
+        specs.append((ids[k], rng.random() * lengths[k]))
     return point_set(G, specs)
 
 
@@ -389,7 +393,7 @@ def _cmd_experiment(args: argparse.Namespace) -> dict:
         raise ParseError(f"unknown experiment {args.kind!r}")
     G = load_graph(args.graph)
     rng = random.Random(args.seed)
-    total_len = sum(e.length for e in G.edges)
+    total_len = sum(G.edge_length.tolist())  # left to right: np.sum's order can move the last bit
     npts = max(1, round(args.density * total_len))
     e_val = smallest_nonterminal_edge(G)
 
@@ -533,7 +537,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except GhGraphError as exc:  # any remaining library error counts as validation
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    text = json.dumps(report, indent=2) + "\n"
+    text = _json_text(report)
     sys.stdout.write(text)
     if args.cmd != "construct" and getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -236,7 +236,7 @@ def circle_six_point(
 
 def _circle_positions(X: PointSet, G: MetricGraph) -> list[float]:
     L = circle_circumference(G)
-    loop_id = G.edges[0].id
+    loop_id = G.edge_ids[0]
     base = G.vertices[0]
     out = []
     for p in X:
@@ -360,11 +360,11 @@ def epsilon_net(G: MetricGraph, eps: float) -> PointSet:
     if not eps > 0.0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {eps}")
     pts: list = [v for v, k in zip(G.vertices, G.vertex_degree.tolist()) if k == 0]
-    for e in G.edges:
-        m = max(1, math.ceil(e.length / (2.0 * eps)))
-        step = e.length / m
+    for eid, length in zip(G.edge_ids, G.edge_length.tolist()):
+        m = max(1, math.ceil(length / (2.0 * eps)))
+        step = length / m
         for k in range(m + 1):
-            pts.append((e.id, min(k * step, e.length)))
+            pts.append((eid, min(k * step, length)))
     net = point_set(G, pts)
     measured = hausdorff_graph_to_set(G, net)
     if measured > eps + TOLERANCE:

@@ -81,50 +81,32 @@ class Edge:
 
 
 class MetricGraph:
-    """A compact connected metric graph.
+    """A compact connected metric graph, stored as columns.
 
-    Instances are built through :func:`build_graph`, which validates the
-    input in one pass over the edges and keeps the sparse vertex skeleton
-    that distance searches run on. ``edge_u``, ``edge_v`` (vertex indices of
-    the endpoints), ``edge_length`` and ``vertex_degree`` (a self-loop
-    counts twice) are read-only arrays, in edge and vertex order. The dense
-    vertex-to-vertex matrix ``vertex_distances`` is built on first use and
-    cached; only point-pair queries and the continuum diameter read it.
+    Instances are built only through :func:`build_graph`, which validates the
+    input on arrays and keeps the sparse vertex skeleton that distance
+    searches run on. ``edge_ids`` holds the ids in edge order, ``edge_index``
+    maps an id to its position, and ``edge_u``, ``edge_v`` (vertex indices of
+    the endpoints), ``edge_length`` and ``vertex_degree`` (a self-loop counts
+    twice) are read-only arrays in edge and vertex order. ``edges`` is a tuple
+    of :class:`Edge` views built on first access; ``edge(id)`` builds one. The
+    dense matrix ``vertex_distances`` is built on first use and cached; only
+    point-pair queries and the continuum diameter read it.
     """
 
     __slots__ = (
         "vertices",
-        "edges",
         "vertex_index",
+        "edge_ids",
         "edge_index",
         "edge_u",
         "edge_v",
         "edge_length",
         "vertex_degree",
+        "_edges",
         "_skeleton",
         "_vertex_distances",
     )
-
-    def __init__(
-        self,
-        vertices: tuple[str, ...],
-        edges: tuple[Edge, ...],
-        vertex_index: dict[str, int],
-        edge_index: dict[str, int],
-        edge_u: np.ndarray,
-        edge_v: np.ndarray,
-        edge_length: np.ndarray,
-        skeleton: csr_matrix,
-    ):
-        n = len(vertices)
-        self.vertices, self.edges = vertices, edges
-        self.vertex_index, self.edge_index = vertex_index, edge_index
-        self.edge_u, self.edge_v, self.edge_length = edge_u, edge_v, edge_length
-        self.vertex_degree = np.bincount(edge_u, minlength=n) + np.bincount(edge_v, minlength=n)
-        for a in (self.edge_u, self.edge_v, self.edge_length, self.vertex_degree):
-            a.flags.writeable = False
-        self._skeleton = skeleton
-        self._vertex_distances: np.ndarray | None = None
 
     @property
     def vertex_distances(self) -> np.ndarray:
@@ -133,19 +115,33 @@ class MetricGraph:
             self._vertex_distances = dijkstra(self._skeleton, directed=True)
         return self._vertex_distances
 
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges as :class:`Edge` views, in edge order, built on first access."""
+        if self._edges is None:
+            names = np.array(self.vertices, dtype=object)
+            ends = names[self.edge_u], names[self.edge_v]
+            self._edges = tuple(map(Edge, self.edge_ids, *ends, self.edge_length.tolist()))
+        return self._edges
+
     # -- simple accessors ---------------------------------------------------
 
     def degree(self, v: str) -> int:
         return int(self.vertex_degree[self.vertex_index[v]])
 
-    def edge(self, edge_id: str) -> Edge:
-        idx = self.edge_index.get(edge_id)
-        if idx is None:
+    def _position(self, edge_id: str) -> int:
+        k = self.edge_index.get(edge_id)
+        if k is None:
             raise PointNotOnGraph(f"unknown edge id {edge_id!r}")
-        return self.edges[idx]
+        return k
+
+    def edge(self, edge_id: str) -> Edge:
+        k = self._position(edge_id)
+        vs = self.vertices
+        return Edge(self.edge_ids[k], vs[self.edge_u[k]], vs[self.edge_v[k]], float(self.edge_length[k]))
 
     def __repr__(self) -> str:
-        return f"MetricGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
+        return f"MetricGraph({len(self.vertices)} vertices, {len(self.edge_ids)} edges)"
 
 
 def build_graph(
@@ -156,7 +152,7 @@ def build_graph(
 
     ``edges`` holds ``(edge_id, u, v, length)`` tuples. Ids must be unique,
     endpoints must name known vertices, lengths must be positive, and the
-    result must be connected.
+    result must be connected. The first bad edge in input order raises.
     """
     vs = tuple(str(v) for v in vertices)
     if not vs:
@@ -164,43 +160,59 @@ def build_graph(
     if len(set(vs)) != len(vs):
         raise ValidationError("duplicate vertex ids")
     vindex = {v: i for i, v in enumerate(vs)}
+    edges = list(edges)
+    E = len(edges)
+    try:  # the columns; an item that is not four values, or a length float() rejects, fails
+        ids, us, ws, lengths = zip(*edges, strict=True) if E else ((),) * 4
+        ids, lengths = tuple(map(str, ids)), np.fromiter(map(float, lengths), float, E)
+    except (TypeError, ValueError, OverflowError):
+        _raise_for_edges(vindex, edges)
+    eindex = dict(zip(ids, range(E)))
+    u, v = (np.fromiter(map(vindex.get, map(str, c), itertools.repeat(-1)), np.int64, E) for c in (us, ws))
+    if len(eindex) < E or (u < 0).any() or (v < 0).any() or not (np.isfinite(lengths) & (lengths > 0.0)).all():
+        _raise_for_edges(vindex, edges)
 
     # Self-loops never shorten vertex-to-vertex paths; between distinct
     # vertices only the shortest parallel edge matters. Each pair is stored
     # once per direction, so searches run directed and never transpose, and
     # strong connectivity is plain connectivity.
-    built: list[Edge] = []
-    eindex: dict[str, int] = {}
-    ends: list[tuple[int, int]] = []
-    lengths: list[float] = []
-    nbrs: list[dict[int, float]] = [{} for _ in vs]
+    link = u != v
+    a, b, w = np.concatenate([u[link], v[link]]), np.concatenate([v[link], u[link]]), np.tile(lengths[link], 2)
+    order = np.lexsort((w, b, a))
+    a, b, w = a[order], b[order], w[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(a[first], minlength=len(vs)))])
+    skeleton = csr_matrix((w[first], b[first], indptr), shape=(len(vs),) * 2)
+    if connected_components(skeleton, connection="strong", return_labels=False) > 1:
+        raise DisconnectedGraph("graph is not connected")
+    G = MetricGraph.__new__(MetricGraph)
+    G.vertices, G.vertex_index, G.edge_ids, G.edge_index = vs, vindex, ids, eindex
+    G.edge_u, G.edge_v, G.edge_length = u, v, lengths
+    G.vertex_degree = np.bincount(u, minlength=len(vs)) + np.bincount(v, minlength=len(vs))
+    for a in (u, v, lengths, G.vertex_degree):
+        a.flags.writeable = False
+    G._edges, G._skeleton, G._vertex_distances = None, skeleton, None
+    return G
+
+
+def _raise_for_edges(vindex: dict[str, int], edges: list) -> None:
+    """Raise what the first bad edge in input order raises: an item that
+    does not unpack to four values, a repeated id, an unknown endpoint, or a
+    length that is not a positive finite float."""
+    seen: set[str] = set()
     for eid, u, v, length in edges:
         eid, u, v = str(eid), str(u), str(v)
-        if eid in eindex:
+        if eid in seen:
             raise ValidationError(f"duplicate edge id {eid!r}")
-        eindex[eid] = len(built)
-        i, j = vindex.get(u), vindex.get(v)
-        if i is None:
-            raise UnknownEndpoint(f"edge {eid!r} references unknown vertex {u!r}")
-        if j is None:
-            raise UnknownEndpoint(f"edge {eid!r} references unknown vertex {v!r}")
+        seen.add(eid)
+        for w in (u, v):
+            if w not in vindex:
+                raise UnknownEndpoint(f"edge {eid!r} references unknown vertex {w!r}")
         length = float(length)
         if not math.isfinite(length) or length <= 0.0:
             raise NonPositiveEdgeLength(f"edge {eid!r} has length {length}")
-        built.append(Edge(eid, u, v, length))
-        ends.append((i, j))
-        lengths.append(length)
-        if i != j and length < nbrs[i].get(j, np.inf):
-            nbrs[i][j] = nbrs[j][i] = length
-
-    indptr = np.cumsum([0] + [len(row) for row in nbrs])
-    indices = [j for row in nbrs for j in row]
-    data = [w for row in nbrs for w in row.values()]
-    skeleton = csr_matrix((data, indices, indptr), shape=(len(vs),) * 2)
-    if connected_components(skeleton, connection="strong", return_labels=False) > 1:
-        raise DisconnectedGraph("graph is not connected")
-    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T.copy()
-    return MetricGraph(vs, tuple(built), vindex, eindex, u, v, np.array(lengths), skeleton)
+    raise ValidationError("edge list rejected")
 
 
 # --------------------------------------------------------------------------
@@ -239,16 +251,17 @@ def vertex_point(G: MetricGraph, v: str) -> GraphPoint:
 
 def edge_point(G: MetricGraph, edge_id: str, offset: float) -> GraphPoint:
     """Canonical point at ``offset`` along an edge (measured from its u end)."""
-    e = G.edge(edge_id)
+    k = G._position(edge_id)
+    length = float(G.edge_length[k])
     offset = float(offset)
-    if not math.isfinite(offset) or offset < -TOLERANCE or offset > e.length + TOLERANCE:
+    if not math.isfinite(offset) or offset < -TOLERANCE or offset > length + TOLERANCE:
         raise PointNotOnGraph(
-            f"offset {offset} outside [0, {e.length}] on edge {edge_id!r}"
+            f"offset {offset} outside [0, {length}] on edge {edge_id!r}"
         )
     if offset <= TOLERANCE:
-        return GraphPoint(vertex=e.u)
-    if offset >= e.length - TOLERANCE:
-        return GraphPoint(vertex=e.v)
+        return GraphPoint(vertex=G.vertices[G.edge_u[k]])
+    if offset >= length - TOLERANCE:
+        return GraphPoint(vertex=G.vertices[G.edge_v[k]])
     return GraphPoint(edge=edge_id, offset=offset)
 
 
@@ -287,9 +300,9 @@ class PointSet:
     @property
     def points(self) -> tuple[GraphPoint, ...]:
         if self._points is None:
-            vs, es = self._graph.vertices, self._graph.edges
+            vs, es = self._graph.vertices, self._graph.edge_ids
             self._points = tuple(
-                GraphPoint(vertex=vs[w]) if e < 0 else GraphPoint(edge=es[e].id, offset=t)
+                GraphPoint(vertex=vs[w]) if e < 0 else GraphPoint(edge=es[e], offset=t)
                 for e, w, t in zip(self._edge.tolist(), self._vertex.tolist(), self._offset.tolist())
             )
         return self._points
@@ -613,7 +626,7 @@ def _pair_max(D, u1, v1, l1, u2, v2, l2) -> float:
 
 def graph_diameter(G: MetricGraph) -> float:
     """Supremum of distances over the whole continuum of the graph, exactly."""
-    if not G.edges:
+    if not len(G.edge_ids):
         return 0.0
     D = G.vertex_distances
     u, v, l = G.edge_u, G.edge_v, G.edge_length
@@ -655,13 +668,27 @@ def smallest_nonterminal_edge(G: MetricGraph) -> float | None:
     return float(qualifying.min()) if qualifying.size else None
 
 
+# Shapes of a connected graph: a tree has one edge fewer than vertices; on one
+# vertex every edge is a self-loop; on two vertices one edge must join them.
+
+
+def _is_tree(G: MetricGraph) -> bool:
+    return len(G.edge_ids) == len(G.vertices) - 1
+
+
+def _is_circle(G: MetricGraph) -> bool:
+    return len(G.vertices) == 1 and len(G.edge_ids) == 1
+
+
+def _is_segment(G: MetricGraph) -> bool:
+    return len(G.vertices) == 2 and len(G.edge_ids) == 1
+
+
 def circle_circumference(G: MetricGraph) -> float:
     """Circumference of a circle graph: one vertex carrying one self-loop."""
-    if len(G.vertices) == 1 and len(G.edges) == 1:
-        e = G.edges[0]
-        if e.u == e.v:
-            return e.length
-    raise NotACircle("graph is not a single-vertex self-loop")
+    if not _is_circle(G):
+        raise NotACircle("graph is not a single-vertex self-loop")
+    return float(G.edge_length[0])
 
 
 @dataclass(frozen=True)
@@ -704,48 +731,38 @@ def enumerate_simple_loops(G: MetricGraph, max_loops: int = 10000) -> tuple[Simp
                 f"more than {max_loops} simple loops; raise max_loops to continue"
             )
 
-    by_pair: dict[tuple[str, str], list[Edge]] = {}
-    for e in G.edges:
-        if e.u == e.v:
-            push([(e.id, 1)], e.length)
+    ids, us, vs, ls = G.edge_ids, G.edge_u.tolist(), G.edge_v.tolist(), G.edge_length.tolist()
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for k, (i, j) in enumerate(zip(us, vs)):
+        if i == j:
+            push([(ids[k], 1)], ls[k])
         else:
-            key = (min(e.u, e.v), max(e.u, e.v))
-            by_pair.setdefault(key, []).append(e)
+            by_pair.setdefault((min(i, j), max(i, j)), []).append(k)
 
-    # two parallel edges bound a loop
-    for (u, v), group in sorted(by_pair.items()):
+    # two parallel edges bound a loop: out along e1, back along e2
+    for (i, _), group in by_pair.items():
         for e1, e2 in itertools.combinations(group, 2):
-            d1 = 1 if e1.u == u else -1
-            d2 = -1 if e2.u == u else 1  # traverse e2 back from v to u
-            push([(e1.id, d1), (e2.id, d2)], e1.length + e2.length)
+            push([(ids[e1], 1 if us[e1] == i else -1), (ids[e2], -1 if us[e2] == i else 1)], ls[e1] + ls[e2])
 
-    # vertex-simple cycles on >= 3 vertices over the simple skeleton,
-    # expanded over every choice of parallel edge per hop
-    neighbors: dict[int, set[int]] = {i: set() for i in range(len(G.vertices))}
-    for (u, v) in by_pair:
-        i, j = G.vertex_index[u], G.vertex_index[v]
-        neighbors[i].add(j)
-        neighbors[j].add(i)
+    # vertex-simple cycles on >= 3 vertices over the skeleton, whose rows
+    # list each neighbour once, expanded over every choice of parallel edge
+    # per hop; the search order is free, since the loops are sorted at the end
+    S = G._skeleton
 
     def expand_cycle(cycle: list[int]) -> None:
-        hops = []
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            ua, ub = G.vertices[a], G.vertices[b]
-            key = (min(ua, ub), max(ua, ub))
-            hops.append([(e, 1 if e.u == ua else -1) for e in by_pair[key]])
+        hops = [
+            [(k, 1 if us[k] == a else -1) for k in by_pair[min(a, b), max(a, b)]]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1])
+        ]
         for combo in itertools.product(*hops):
-            push(
-                [(e.id, d) for e, d in combo],
-                sum(e.length for e, d in combo),
-            )
+            push([(ids[k], d) for k, d in combo], sum(ls[k] for k, d in combo))
 
-    n = len(G.vertices)
-    for start in range(n):
+    for start in range(len(G.vertices)):
         stack: list[tuple[list[int], set[int]]] = [([start], {start})]
         while stack:
             path, used = stack.pop()
             last = path[-1]
-            for nxt in sorted(neighbors[last]):
+            for nxt in S.indices[S.indptr[last] : S.indptr[last + 1]].tolist():
                 if nxt == start and len(path) >= 3:
                     if path[1] < path[-1]:  # one orientation per cycle
                         expand_cycle(path)
@@ -787,9 +804,9 @@ class EdgeIntervalSet:
 
     @property
     def intervals(self) -> dict[str, tuple[tuple[float, float], ...]]:
-        es, out = self._graph.edges, {}
+        es, out = self._graph.edge_ids, {}
         for e, lo, hi in zip(self.edge.tolist(), self.lo.tolist(), self.hi.tolist()):
-            out.setdefault(es[e].id, []).append((lo, hi))
+            out.setdefault(es[e], []).append((lo, hi))
         return {eid: tuple(ivs) for eid, ivs in out.items()}
 
     @property
@@ -818,10 +835,10 @@ def region(
     """
     rows = []
     for eid, ivs in intervals.items():
-        e, k = G.edge(eid), G.edge_index[eid]
+        k = G._position(eid)
         for lo, hi in ivs:
             edge_point(G, eid, lo), edge_point(G, eid, hi)  # each end on the edge
-            lo, hi = max(float(lo), 0.0), min(float(hi), e.length)
+            lo, hi = max(float(lo), 0.0), min(float(hi), float(G.edge_length[k]))
             if hi <= lo:
                 raise ValidationError(f"interval ({lo}, {hi}) is empty on edge {eid!r}")
             rows.append((k, lo, hi))
@@ -829,14 +846,14 @@ def region(
     edge, lo, hi = table[:, 0].astype(np.int64), table[:, 1], table[:, 2]
     overlap = (edge[1:] == edge[:-1]) & (lo[1:] < hi[:-1])
     if overlap.any():
-        raise ValidationError(f"overlapping intervals on edge {G.edges[edge[np.argmax(overlap)]].id!r}")
+        raise ValidationError(f"overlapping intervals on edge {G.edge_ids[edge[np.argmax(overlap)]]!r}")
     ids = [vertex_point(G, str(v)).vertex for v in vertices]
     vertex = np.unique(np.array([G.vertex_index[v] for v in ids], dtype=np.int64))
     return EdgeIntervalSet._from_columns(G, edge, lo, hi, vertex)
 
 
 def whole_graph_region(G: MetricGraph) -> EdgeIntervalSet:
-    E = len(G.edges)
+    E = len(G.edge_ids)
     return EdgeIntervalSet._from_columns(
         G, np.arange(E), np.zeros(E), G.edge_length, np.arange(len(G.vertices))
     )
@@ -851,7 +868,7 @@ def thickening(G: MetricGraph, A: PointSet, r: float) -> EdgeIntervalSet:
     radius after reaching them.
     """
     r = float(r)
-    if r <= 0.0:
+    if not r > 0.0:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
     if len(A) == 0:
         raise EmptySet("thickening of an empty point set")
@@ -860,7 +877,7 @@ def thickening(G: MetricGraph, A: PointSet, r: float) -> EdgeIntervalSet:
     # raw intervals from u, from v and around each source on an edge; one
     # that is empty (hi <= lo) is dropped, which also drops those from an
     # end farther than r from A
-    l, E, on = G.edge_length, np.arange(len(G.edges)), fa[0] >= 0
+    l, E, on = G.edge_length, np.arange(len(G.edge_ids)), fa[0] >= 0
     se, t = fa[0][on], fa[3][on]
     edge = np.concatenate([E, E, se])
     lo = np.concatenate([np.zeros(len(E)), np.maximum(0.0, l - (r - vdist[G.edge_v])), np.maximum(0.0, t - r)])

@@ -76,8 +76,6 @@ def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
     """sup over the graph of the distance to the sources whose ``_fields``
     are fa, taken as 0 on the closed intervals ``excluded`` = (edge, lo, hi)."""
     vdist = _distance_field(G, fa)
-    if not G.edges:
-        return float(vdist.max())
     u, v, l = G.edge_u, G.edge_v, G.edge_length
     au, av = vdist[u], vdist[v]
     src_e, src_t = fa[0], fa[3]

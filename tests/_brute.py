@@ -15,7 +15,9 @@ record of interval and vertex ids. The region connectivity reference is a
 union-find over intervals and vertices, and the interval GH reference takes
 the supremum on a one-edge graph over the subset's span. The exact GH search
 reference is the float forward-check search the pair-bitmask search
-replaced; it walks the same tree and counts the same assignments.
+replaced; it walks the same tree and counts the same assignments. The graph
+build reference is the per-edge validation and skeleton loop that made one
+``Edge`` per edge, before the graph was stored as columns.
 """
 
 from __future__ import annotations
@@ -27,9 +29,62 @@ from bisect import bisect_left
 from collections import namedtuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.csgraph import dijkstra as sparse_dijkstra
 
 import ghgraph as gg
 from ghgraph.graph import _distance_field
+
+
+# the per-edge build loop the columnar ``build_graph`` replaced, frozen;
+# it returns a plain record of what the graph stores
+
+BuiltGraph = namedtuple(
+    "BuiltGraph",
+    "vertices edges vertex_index edge_index edge_u edge_v edge_length vertex_degree skeleton vertex_distances",
+)
+
+
+def build_graph(vertices, edges):
+    vs = tuple(str(v) for v in vertices)
+    if not vs:
+        raise gg.ValidationError("a metric graph needs at least one vertex")
+    if len(set(vs)) != len(vs):
+        raise gg.ValidationError("duplicate vertex ids")
+    vindex = {v: i for i, v in enumerate(vs)}
+    built, eindex, ends, lengths = [], {}, [], []
+    nbrs = [{} for _ in vs]
+    for eid, u, v, length in edges:
+        eid, u, v = str(eid), str(u), str(v)
+        if eid in eindex:
+            raise gg.ValidationError(f"duplicate edge id {eid!r}")
+        eindex[eid] = len(built)
+        i, j = vindex.get(u), vindex.get(v)
+        if i is None:
+            raise gg.UnknownEndpoint(f"edge {eid!r} references unknown vertex {u!r}")
+        if j is None:
+            raise gg.UnknownEndpoint(f"edge {eid!r} references unknown vertex {v!r}")
+        length = float(length)
+        if not math.isfinite(length) or length <= 0.0:
+            raise gg.NonPositiveEdgeLength(f"edge {eid!r} has length {length}")
+        built.append(gg.Edge(eid, u, v, length))
+        ends.append((i, j))
+        lengths.append(length)
+        if i != j and length < nbrs[i].get(j, np.inf):
+            nbrs[i][j] = nbrs[j][i] = length
+    indptr = np.cumsum([0] + [len(row) for row in nbrs])
+    indices = [j for row in nbrs for j in row]
+    data = [w for row in nbrs for w in row.values()]
+    skeleton = csr_matrix((data, indices, indptr), shape=(len(vs),) * 2)
+    if connected_components(skeleton, connection="strong", return_labels=False) > 1:
+        raise gg.DisconnectedGraph("graph is not connected")
+    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T.copy()
+    degree = np.bincount(u, minlength=len(vs)) + np.bincount(v, minlength=len(vs))
+    return BuiltGraph(
+        vs, tuple(built), vindex, eindex, u, v, np.array(lengths), degree, skeleton,
+        sparse_dijkstra(skeleton, directed=True),
+    )
 
 
 def dijkstra(vertex_ids, edge_list, src):

@@ -244,6 +244,12 @@ def test_interval_values():
 def test_interval_accepts_point_sets(segment02):
     ps = gg.point_set(segment02, [("seg", 0.5), ("seg", 1.5)])
     assert gg.interval_gh_exact(0.0, 2.0, ps, segment02) == pytest.approx(0.5)
+    # the vertices sit at the ends: u at a, v at a + length
+    ends = gg.point_set(segment02, ["u", "v", ("seg", 0.5)])
+    assert gg.interval_gh_exact(1.0, 3.0, ends, segment02) == gg.interval_gh_exact(1.0, 3.0, [1.0, 3.0, 1.5])
+    # a point the segment lacks is rejected, not read by its offset alone
+    with pytest.raises(gg.PointNotOnGraph, match="unknown edge id 'loop'"):
+        gg.interval_gh_exact(0.0, 2.0, gg.point_set(gg.circle_graph(), [("loop", 1.0)]), segment02)
 
 
 def test_interval_errors():

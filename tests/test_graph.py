@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from unittest import mock
@@ -50,6 +51,69 @@ def test_build_graph_rejects_duplicates_and_empty():
         gg.build_graph(["u", "u", "v"], [("e", "u", "v", 1.0)])
     with pytest.raises(gg.ValidationError):
         gg.build_graph([], [])
+
+
+@st.composite
+def _edge_lists(draw):
+    """Vertices and edges of a connected multigraph with self-loops,
+    parallel edges and tied lengths, in any order, with str and int ids."""
+    V = draw(st.integers(1, 7))
+    names = draw(st.permutations([f"v{i}" for i in range(V)]))
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, V)]
+    ends += draw(st.lists(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)), max_size=8))
+    ends = draw(st.permutations(ends))
+    length = st.sampled_from([0.5, 1.0, 2.5]) | st.floats(0.01, 10.0)
+    edges = [
+        (k if draw(st.booleans()) else f"e{k}", names[a], names[b], draw(length))
+        for k, (a, b) in enumerate(ends)
+    ]
+    return draw(st.permutations(names)), edges
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists())
+def test_build_graph_matches_scalar_reference(graph):
+    vertices, edges = graph
+    G, ref = gg.build_graph(vertices, edges), _brute.build_graph(vertices, edges)
+    assert np.array_equal(G.vertex_distances, ref.vertex_distances)
+    assert (G._skeleton != ref.skeleton).nnz == 0
+    assert G.vertices == ref.vertices and G.vertex_index == ref.vertex_index
+    assert G.edge_ids == tuple(e.id for e in ref.edges) and G.edge_index == ref.edge_index
+    for name in ("edge_u", "edge_v", "edge_length", "vertex_degree"):
+        assert np.array_equal(getattr(G, name), getattr(ref, name))
+    assert G.edges == ref.edges
+    assert [G.edge(e.id) for e in ref.edges] == list(ref.edges)
+
+
+_GOOD_EDGES = [(f"e{k}", "abcdef"[k % 6], "abcdef"[(k + 1) % 6], 0.5 + k % 4) for k in range(40)]
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ("e7", "a", "b", 1.0),  # duplicate id
+        ("z", "q", "b", 1.0),  # unknown u
+        ("z", "a", "q", 1.0),  # unknown v
+        ("z", "q", "r", 1.0),  # both unknown: u is named
+        ("z", "a", "b", 0.0),
+        ("z", "a", "b", -1.0),
+        ("z", "a", "b", math.nan),
+        ("z", "a", "b", math.inf),
+        ("z", "a", "b", "abc"),  # a length float() rejects
+        ("z", "a", "b"),  # items of the wrong size
+        ("z", "a", "b", 1.0, 2.0),
+        7,
+    ],
+)
+def test_build_graph_errors_match_scalar_reference(bad, where):
+    k = {"start": 0, "middle": len(_GOOD_EDGES) // 2, "end": len(_GOOD_EDGES)}[where]
+    # a length float() rejects and an item of the wrong size come after the
+    # first bad edge and must not be the ones reported
+    edges = _GOOD_EDGES[:k] + [bad] + _GOOD_EDGES[k:] + [("y", "a", "b", "later"), ("x", "a")]
+    expected = _error(lambda: _brute.build_graph("abcdef", edges))
+    assert expected is not None
+    assert _error(lambda: gg.build_graph("abcdef", edges)) == expected
 
 
 def test_point_validation(multi):
@@ -434,7 +498,7 @@ def test_thickening_wraps_circle(circle):
 
 def test_thickening_rejects_nonpositive_radius(segment01):
     A = gg.point_set(segment01, [("seg", 0.5)])
-    for r in (0.0, -0.1):
+    for r in (0.0, -0.1, math.nan):
         with pytest.raises(gg.NonPositiveRadius):
             gg.thickening(segment01, A, r)
 
@@ -655,3 +719,59 @@ def test_field_path_builds_no_graph_point(monkeypatch):
     assert len(made) == len(A)
     A[0], list(A)
     assert len(made) == len(A)
+
+
+def test_request_paths_build_no_edge(monkeypatch, tmp_path, capsys):
+    # every library query and CLI verb reads the graph's columns: not one
+    # Edge is made, where the scalar build made one per edge
+    from ghgraph.cli import main
+
+    made = []
+
+    class CountingEdge(graph_mod.Edge):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(graph_mod, "Edge", CountingEdge)
+    docs = {
+        "seg": [("s", "u", "v", 2.0)],
+        "circle": [("loop", "u", "u", 6.0)],
+        "multi": [("a", "u", "v", 3.0), ("b", "u", "v", 1.0), ("self", "v", "v", 2.0), ("spur", "v", "w", 0.5)],
+    }
+    for name, edges in docs.items():
+        vertices = sorted({w for e in edges for w in e[1:3]})
+        G = gg.build_graph(vertices, edges)
+        eid, length = edges[0][0], edges[0][3]
+        X = gg.point_set(G, [vertices[0], (eid, 0.3 * length)])
+        Y = gg.point_set(G, [(eid, 0.7 * length)])
+        W = gg.region(G, {eid: [(0.1, 0.4)]}, vertices[:1])
+        gg.hausdorff_graph_to_set(G, X), gg.hausdorff_graph_to_region(G, W)
+        gg.hausdorff_sets(G, X, Y), gg.directed_hausdorff_sets(G, X, Y)
+        gg.directed_hausdorff_boundary(G, X), gg.thickening(G, X, 0.4)
+        gg.best_bound(G, X), gg.best_bound(G, X, Y), gg.epsilon_net(G, 0.5)
+        doc = {"vertices": vertices, "edges": [dict(zip(("id", "u", "v", "length"), e)) for e in edges]}
+        graph = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        x, y = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+        (tmp_path / "x.json").write_text(json.dumps([{"vertex": vertices[0]}, {"edge": eid, "offset": 0.3}]))
+        (tmp_path / "y.json").write_text(json.dumps([{"edge": eid, "offset": 0.7}]))
+        for argv in (
+            ["hausdorff", "--graph", graph, "--subset", x, "--subset2", y],
+            ["bound", "--graph", graph, "--subset", x],
+            ["bound", "--graph", graph, "--subset", x, "--subset2", y],
+            ["oracle", "--graph", graph, "--subset", x, "--subset2", y],
+            ["construct", "net", "--graph", graph, "--epsilon", "0.5", "--out", str(tmp_path / "n")],
+            ["experiment", "ratio", "--graph", graph, "--samples", "2", "--density", "0.5"],
+        ):
+            assert main(argv) == 0
+    for argv in (["construct", "star", "--n", "3"], ["construct", "circle6", "--epsilon", "0.1"]):
+        assert main(argv + ["--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    assert made == []
+    G.edges  # the views of the last graph, multi, are built on first access, once
+    assert len(made) == 4
+    G.edges, G.edge(eid)
+    assert len(made) == 5
