@@ -3,12 +3,19 @@
 Every bound is returned as a BoundCertificate carrying the measured
 quantities behind it. A certificate is never silently weakened: when a
 hypothesis fails the kind becomes "inapplicable" and the failed comparison
-stays on record. Strict hypotheses are enforced with a tolerance margin,
-so a measured equality does not certify anything.
+stays on record.
+
+Each statement applies one of two rules to measured distances. Capped:
+d_GH(G, X) = d_H(G, X) if d_H(G, X) <= cap, else d_GH(G, X) >= cap, with cap
+L/6 on a circle of circumference L, e(G)/12 on a graph with loops, none on a
+tree. Pair: d_GH(X, Y) >= min{d_H(X, Y) - 2 eps, cap - eps} if positive, where
+eps = d_H(G, Y), or d_H(X, Y) - 2 eps on a tree. Where G has leaves, d_H must
+exceed the leaf-to-X distance by a tolerance margin, so a tie certifies nothing.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -69,17 +76,18 @@ class Hypothesis:
     satisfied: bool
 
 
-# the function whose statement each theorem names
-_THEOREM_OPS = {
-    "tree-equality": "tree_equality",
-    "tree-pair": "tree_pair_bound",
-    "circle": "circle_bound",
-    "circle-pair": "circle_pair_bound",
-    "graph": "graph_bound",
-    "graph-pair": "graph_pair_bound",
-    "diameter": "diameter_bound",
-    "interval-exact": "interval_gh_exact",
+# each theorem's tag, by the function whose statement it is
+_TAGS = {
+    "tree_equality": "tree-equality",
+    "tree_pair_bound": "tree-pair",
+    "circle_bound": "circle",
+    "circle_pair_bound": "circle-pair",
+    "graph_bound": "graph",
+    "graph_pair_bound": "graph-pair",
+    "diameter_bound": "diameter",
+    "interval_gh_exact": "interval-exact",
 }
+_OPS = {tag: op for op, tag in _TAGS.items()}
 
 
 @dataclass(frozen=True)
@@ -100,10 +108,81 @@ class BoundCertificate:
     @property
     def op(self) -> str:
         """The name of the function whose statement produced the certificate."""
-        return _THEOREM_OPS.get(self.theorem, self.theorem)
+        return _OPS.get(self.theorem, self.theorem)
 
     def applicable(self) -> bool:
         return self.kind != INAPPLICABLE
+
+
+def _certified(op: str, value: float, kind: str, hyps: tuple[Hypothesis, ...], upper: float | None):
+    """value of the given kind when every hypothesis holds, else inapplicable at 0."""
+    if all(h.satisfied for h in hyps):
+        return BoundCertificate(value, kind, _TAGS[op], hyps, upper)
+    return BoundCertificate(0.0, INAPPLICABLE, _TAGS[op], hyps, upper)
+
+
+def _capped(op: str, h: float, cap: float, hyps: tuple[Hypothesis, ...] = ()) -> BoundCertificate:
+    """The capped rule: exact at h when h <= cap, a lower bound at cap above it."""
+    if h <= cap:
+        return _certified(op, h, EXACT_VALUE, hyps, h)
+    return _certified(op, cap, LOWER_BOUND, hyps, h)
+
+
+def _pair(
+    op: str, h_xy: float, eps: float, cap: float, positive: str, density: str, hyps: tuple[Hypothesis, ...] = ()
+) -> BoundCertificate:
+    """The pair rule: min{h_xy - 2 eps, cap - eps} when that is positive."""
+    value = min(h_xy - 2.0 * eps, cap - eps)
+    hyps += (Hypothesis(positive, value, ">", 0.0, value > 0.0), Hypothesis(density, eps, "=", eps, True))
+    return _certified(op, value, LOWER_BOUND, hyps, h_xy)
+
+
+def _leaf_hypothesis(description: str, G: MetricGraph, X: PointSet, h: float, eps: float = 0.0) -> Hypothesis:
+    """h exceeds the directed leaf-to-X distance plus eps by more than TOLERANCE."""
+    b = directed_hausdorff_boundary(G, X) + eps
+    return Hypothesis(description, h, ">", b, h > b + TOLERANCE)
+
+
+def _tree_equality(T: MetricGraph, X: PointSet, h: float) -> BoundCertificate:
+    leaves = _leaf_hypothesis("d_H(T, X) strictly exceeds directed d(boundary(T), X)", T, X, h)
+    return _capped("tree_equality", h, math.inf, (leaves,))
+
+
+def _tree_pair_bound(T: MetricGraph, X: PointSet, eps: float, h_xy: float) -> BoundCertificate:
+    leaves = _leaf_hypothesis("d_H(X, Y) strictly exceeds directed d(boundary(T), X) + eps", T, X, h_xy, eps)
+    density = Hypothesis("eps = d_H(T, Y)", eps, "=", eps, True)
+    return _certified("tree_pair_bound", h_xy - 2.0 * eps, LOWER_BOUND, (leaves, density), h_xy)
+
+
+def _circle_bound(L: float, h: float) -> BoundCertificate:
+    return _capped("circle_bound", h, L / 6.0)
+
+
+def _circle_pair_bound(L: float, eps: float, h_xy: float) -> BoundCertificate:
+    positive = "min{d_H(X,Y) - 2 eps, L/6 - eps} is positive"
+    return _pair("circle_pair_bound", h_xy, eps, L / 6.0, positive, "eps = d_H(circle, Y)")
+
+
+def _graph_leaves(G: MetricGraph, X: PointSet, h: float) -> tuple[Hypothesis, ...]:
+    if not boundary(G):
+        return ()
+    return (_leaf_hypothesis("d_H(G, X) strictly exceeds directed d(boundary(G), X)", G, X, h),)
+
+
+def _graph_bound(G: MetricGraph, X: PointSet, h: float) -> BoundCertificate:
+    if _is_tree(G):
+        return _tree_equality(G, X, h)
+    # a loop forces a non-terminal edge, so e(G) is defined
+    return _capped("graph_bound", h, smallest_nonterminal_edge(G) / 12.0, _graph_leaves(G, X, h))
+
+
+def _graph_pair_bound(G: MetricGraph, X: PointSet, eps: float, h_xy: float) -> BoundCertificate:
+    if _is_tree(G):
+        return _tree_pair_bound(G, X, eps, h_xy)
+    leaves = _graph_leaves(G, X, hausdorff_graph_to_set(G, X))
+    positive = "min{d_H(X,Y) - 2 eps, e(G)/12 - eps} is positive"
+    cap = smallest_nonterminal_edge(G) / 12.0
+    return _pair("graph_pair_bound", h_xy, eps, cap, positive, "eps = d_H(G, Y)", leaves)
 
 
 def _diam(space: FiniteMetricSpace | float) -> float:
@@ -119,7 +198,7 @@ def diameter_bound(
 ) -> BoundCertificate:
     """Half the diameter difference; a lower bound with no hypotheses."""
     value = abs(_diam(DX) - _diam(DY)) / 2.0
-    return BoundCertificate(value, LOWER_BOUND, "diameter", (), upper_bound)
+    return _certified("diameter_bound", value, LOWER_BOUND, (), upper_bound)
 
 
 def _require_tree(T: MetricGraph) -> None:
@@ -127,9 +206,10 @@ def _require_tree(T: MetricGraph) -> None:
         raise NotATree("graph contains a simple loop")
 
 
-def _require_nonempty(A: PointSet, label: str) -> None:
-    if len(A) == 0:
-        raise EmptySet(f"{label} must be nonempty")
+def _require_nonempty(X: PointSet, Y: PointSet | None = None) -> None:
+    for label, A in (("X", X), ("Y", Y)):
+        if A is not None and len(A) == 0:
+            raise EmptySet(f"{label} must be nonempty")
 
 
 def tree_equality(T: MetricGraph, X: PointSet) -> BoundCertificate:
@@ -139,19 +219,8 @@ def tree_equality(T: MetricGraph, X: PointSet) -> BoundCertificate:
     the leaves to the subset, the GH distance equals the Hausdorff distance.
     """
     _require_tree(T)
-    _require_nonempty(X, "X")
+    _require_nonempty(X)
     return _tree_equality(T, X, hausdorff_graph_to_set(T, X))
-
-
-def _tree_equality(T: MetricGraph, X: PointSet, h: float) -> BoundCertificate:
-    b = directed_hausdorff_boundary(T, X)
-    ok = h > b + TOLERANCE
-    hyp = Hypothesis(
-        "d_H(T, X) strictly exceeds directed d(boundary(T), X)", h, ">", b, ok
-    )
-    if ok:
-        return BoundCertificate(h, EXACT_VALUE, "tree-equality", (hyp,), h)
-    return BoundCertificate(0.0, INAPPLICABLE, "tree-equality", (hyp,), h)
 
 
 def tree_pair_bound(T: MetricGraph, X: PointSet, Y: PointSet) -> BoundCertificate:
@@ -161,27 +230,8 @@ def tree_pair_bound(T: MetricGraph, X: PointSet, Y: PointSet) -> BoundCertificat
     admits; the bound only degrades as eps grows.
     """
     _require_tree(T)
-    _require_nonempty(X, "X")
-    _require_nonempty(Y, "Y")
+    _require_nonempty(X, Y)
     return _tree_pair_bound(T, X, hausdorff_graph_to_set(T, Y), hausdorff_sets(T, X, Y))
-
-
-def _tree_pair_bound(T: MetricGraph, X: PointSet, eps: float, h_xy: float) -> BoundCertificate:
-    b = directed_hausdorff_boundary(T, X)
-    ok = h_xy > b + eps + TOLERANCE
-    hyps = (
-        Hypothesis(
-            "d_H(X, Y) strictly exceeds directed d(boundary(T), X) + eps",
-            h_xy,
-            ">",
-            b + eps,
-            ok,
-        ),
-        Hypothesis("eps = d_H(T, Y)", eps, "=", eps, True),
-    )
-    if ok:
-        return BoundCertificate(h_xy - 2.0 * eps, LOWER_BOUND, "tree-pair", hyps, h_xy)
-    return BoundCertificate(0.0, INAPPLICABLE, "tree-pair", hyps, h_xy)
 
 
 def circle_bound(G: MetricGraph, X: PointSet) -> BoundCertificate:
@@ -191,110 +241,32 @@ def circle_bound(G: MetricGraph, X: PointSet) -> BoundCertificate:
     constant pi/3; other circumferences scale linearly.
     """
     L = circle_circumference(G)
-    _require_nonempty(X, "X")
+    _require_nonempty(X)
     return _circle_bound(L, hausdorff_graph_to_set(G, X))
-
-
-def _circle_bound(L: float, h: float) -> BoundCertificate:
-    cap = L / 6.0
-    if h <= cap:
-        return BoundCertificate(h, EXACT_VALUE, "circle", (), h)
-    return BoundCertificate(cap, LOWER_BOUND, "circle", (), h)
 
 
 def circle_pair_bound(G: MetricGraph, X: PointSet, Y: PointSet) -> BoundCertificate:
     """GH bound min{d_H(X,Y) - 2*eps, L/6 - eps} for subsets of a circle."""
     L = circle_circumference(G)
-    _require_nonempty(X, "X")
-    _require_nonempty(Y, "Y")
+    _require_nonempty(X, Y)
     return _circle_pair_bound(L, hausdorff_graph_to_set(G, Y), hausdorff_sets(G, X, Y))
-
-
-def _circle_pair_bound(L: float, eps: float, h_xy: float) -> BoundCertificate:
-    value = min(h_xy - 2.0 * eps, L / 6.0 - eps)
-    ok = value > 0.0
-    hyps = (
-        Hypothesis(
-            "min{d_H(X,Y) - 2 eps, L/6 - eps} is positive", value, ">", 0.0, ok
-        ),
-        Hypothesis("eps = d_H(circle, Y)", eps, "=", eps, True),
-    )
-    if ok:
-        return BoundCertificate(value, LOWER_BOUND, "circle-pair", hyps, h_xy)
-    return BoundCertificate(0.0, INAPPLICABLE, "circle-pair", hyps, h_xy)
-
-
-def _boundary_hypothesis(
-    G: MetricGraph, X: PointSet, h: float
-) -> tuple[tuple[Hypothesis, ...], bool]:
-    if not boundary(G):
-        return (), True
-    b = directed_hausdorff_boundary(G, X)
-    ok = h > b + TOLERANCE
-    return (
-        Hypothesis(
-            "d_H(G, X) strictly exceeds directed d(boundary(G), X)", h, ">", b, ok
-        ),
-    ), ok
 
 
 def graph_bound(G: MetricGraph, X: PointSet) -> BoundCertificate:
     """GH bound min{d_H, e(G)/12} for a subset of a graph with loops.
 
     e(G) is the shortest edge whose endpoints both have degree above one.
-    Loop-free graphs delegate to the tree result. When the graph has
-    leaves, d_H must strictly exceed the directed leaf-to-subset distance.
+    Loop-free graphs get the tree result. When the graph has leaves, d_H
+    must strictly exceed the directed leaf-to-subset distance.
     """
-    if _is_tree(G):
-        return tree_equality(G, X)
-    _require_nonempty(X, "X")
+    _require_nonempty(X)
     return _graph_bound(G, X, hausdorff_graph_to_set(G, X))
-
-
-def _graph_bound(G: MetricGraph, X: PointSet, h: float) -> BoundCertificate:
-    hyps, ok = _boundary_hypothesis(G, X, h)
-    e = smallest_nonterminal_edge(G)
-    assert e is not None  # a loop forces a non-terminal edge
-    if not ok:
-        return BoundCertificate(0.0, INAPPLICABLE, "graph", hyps, h)
-    cap = e / 12.0
-    if h <= cap:
-        return BoundCertificate(h, EXACT_VALUE, "graph", hyps, h)
-    return BoundCertificate(cap, LOWER_BOUND, "graph", hyps, h)
 
 
 def graph_pair_bound(G: MetricGraph, X: PointSet, Y: PointSet) -> BoundCertificate:
     """GH bound min{d_H(X,Y) - 2*eps, e(G)/12 - eps} for co-embedded subsets."""
-    if _is_tree(G):
-        return tree_pair_bound(G, X, Y)
-    _require_nonempty(X, "X")
-    _require_nonempty(Y, "Y")
-    return _graph_pair_bound(
-        G, X, hausdorff_graph_to_set(G, X), hausdorff_graph_to_set(G, Y), hausdorff_sets(G, X, Y)
-    )
-
-
-def _graph_pair_bound(
-    G: MetricGraph, X: PointSet, h_x: float, eps: float, h_xy: float
-) -> BoundCertificate:
-    hyps, ok = _boundary_hypothesis(G, X, h_x)
-    e = smallest_nonterminal_edge(G)
-    assert e is not None
-    value = min(h_xy - 2.0 * eps, e / 12.0 - eps)
-    positive = value > 0.0
-    hyps = hyps + (
-        Hypothesis(
-            "min{d_H(X,Y) - 2 eps, e(G)/12 - eps} is positive",
-            value,
-            ">",
-            0.0,
-            positive,
-        ),
-        Hypothesis("eps = d_H(G, Y)", eps, "=", eps, True),
-    )
-    if ok and positive:
-        return BoundCertificate(value, LOWER_BOUND, "graph-pair", hyps, h_xy)
-    return BoundCertificate(0.0, INAPPLICABLE, "graph-pair", hyps, h_xy)
+    _require_nonempty(X, Y)
+    return _graph_pair_bound(G, X, hausdorff_graph_to_set(G, Y), hausdorff_sets(G, X, Y))
 
 
 def interval_gh_exact(
@@ -348,36 +320,21 @@ def best_bound(
     concern d_GH(X, Y) for the co-embedded pair. Inapplicable certificates
     are kept (value 0) so callers can see which hypotheses failed.
     """
-    _require_nonempty(X, "X")
-    certs: list[BoundCertificate] = []
-
+    _require_nonempty(X, Y)
     if Y is None:
         h = hausdorff_graph_to_set(G, X)
-        certs.append(diameter_bound(graph_diameter(G), set_diameter(G, X), h))
-        if _is_tree(G):
-            certs.append(_tree_equality(G, X, h))
-            if _is_segment(G):
-                value = interval_gh_exact(0.0, float(G.edge_length[0]), X, G)
-                certs.append(
-                    BoundCertificate(value, EXACT_VALUE, "interval-exact", (), value)
-                )
-        else:
-            if _is_circle(G):
-                certs.append(_circle_bound(circle_circumference(G), h))
-            certs.append(_graph_bound(G, X, h))
+        certs = [diameter_bound(graph_diameter(G), set_diameter(G, X), h)]
+        if _is_circle(G):
+            certs.append(_circle_bound(circle_circumference(G), h))
+        certs.append(_graph_bound(G, X, h))
+        if _is_segment(G):
+            value = interval_gh_exact(0.0, float(G.edge_length[0]), X, G)
+            certs.append(_capped("interval_gh_exact", value, math.inf))
     else:
-        _require_nonempty(Y, "Y")
         h_xy = hausdorff_sets(G, X, Y)
         eps = hausdorff_graph_to_set(G, Y)
-        certs.append(
-            diameter_bound(set_diameter(G, X), set_diameter(G, Y), h_xy)
-        )
-        if _is_tree(G):
-            certs.append(_tree_pair_bound(G, X, eps, h_xy))
-        else:
-            if _is_circle(G):
-                certs.append(_circle_pair_bound(circle_circumference(G), eps, h_xy))
-            h_x = hausdorff_graph_to_set(G, X)
-            certs.append(_graph_pair_bound(G, X, h_x, eps, h_xy))
-
+        certs = [diameter_bound(set_diameter(G, X), set_diameter(G, Y), h_xy)]
+        if _is_circle(G):
+            certs.append(_circle_pair_bound(circle_circumference(G), eps, h_xy))
+        certs.append(_graph_pair_bound(G, X, eps, h_xy))
     return sorted(certs, key=lambda c: -c.value)

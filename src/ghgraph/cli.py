@@ -46,6 +46,7 @@ from .errors import (
     GhGraphError,
     GuardExceeded,
     ParseError,
+    ValidationError,
 )
 from .graph import (
     EdgeIntervalSet,
@@ -372,8 +373,6 @@ def _cmd_construct(args: argparse.Namespace) -> dict:
             "epsilon": _tag("epsilon_net", eps),
             "points": len(net),
         }
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown construction {args.name!r}")
 
     report["files"] = written
     return report
@@ -381,16 +380,18 @@ def _cmd_construct(args: argparse.Namespace) -> dict:
 
 def _random_subset(G: MetricGraph, rng: random.Random, npts: int) -> PointSet:
     ids, lengths = G.edge_ids, G.edge_length.tolist()
+    if not ids:
+        raise ValidationError("random points need a graph with at least one edge")
+    # the cumulative weights choices() would rebuild per call; the draws are the same
+    cum_weights = list(itertools.accumulate(lengths))
     specs = []
     for _ in range(npts):
-        k = rng.choices(range(len(ids)), weights=lengths)[0]
+        k = rng.choices(range(len(ids)), cum_weights=cum_weights)[0]
         specs.append((ids[k], rng.random() * lengths[k]))
     return point_set(G, specs)
 
 
 def _cmd_experiment(args: argparse.Namespace) -> dict:
-    if args.kind != "ratio":
-        raise ParseError(f"unknown experiment {args.kind!r}")
     G = load_graph(args.graph)
     rng = random.Random(args.seed)
     total_len = sum(G.edge_length.tolist())  # left to right: np.sum's order can move the last bit
@@ -475,25 +476,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="cmd", required=True)
 
-    def common(p: argparse.ArgumentParser, *names: str) -> None:
-        if "graph" in names:
-            p.add_argument("--graph", help="graph JSON file")
-        if "subset" in names:
-            p.add_argument("--subset", help="point set JSON file")
-        if "subset2" in names:
-            p.add_argument("--subset2", help="second point set JSON file")
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--graph", help="graph JSON file")
+        p.add_argument("--subset", help="point set JSON file")
+        p.add_argument("--subset2", help="second point set JSON file")
         p.add_argument("--out", help="also write the report (or files) here")
 
     p = sub.add_parser("hausdorff", help="Hausdorff distances for subsets")
-    common(p, "graph", "subset", "subset2")
+    common(p)
     p.set_defaults(fn=_cmd_hausdorff)
 
     p = sub.add_parser("bound", help="certified GH bounds")
-    common(p, "graph", "subset", "subset2")
+    common(p)
     p.set_defaults(fn=_cmd_bound)
 
     p = sub.add_parser("oracle", help="exact GH distance for small spaces")
-    common(p, "graph", "subset", "subset2")
+    common(p)
     p.add_argument("--matrix", help="distance matrix JSON file")
     p.add_argument("--matrix2", help="second distance matrix JSON file")
     p.add_argument("--guard", type=int, default=100_000_000, help="work guard")
@@ -520,23 +518,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# the exit code of each error class, first match wins; any other library
+# error counts as a validation failure
+_EXIT_CODES = ((ParseError, 2), (GuardExceeded, 4), (ConstructionVerificationFailed, 5), (GhGraphError, 3))
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         report = args.fn(args)
-    except ParseError as exc:
+    except GhGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except GuardExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except ConstructionVerificationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except GhGraphError as exc:  # any remaining library error counts as validation
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES if isinstance(exc, cls))
     text = _json_text(report)
     sys.stdout.write(text)
     if args.cmd != "construct" and getattr(args, "out", None):

@@ -17,7 +17,8 @@ the supremum on a one-edge graph over the subset's span. The exact GH search
 reference is the float forward-check search the pair-bitmask search
 replaced; it walks the same tree and counts the same assignments. The graph
 build reference is the per-edge validation and skeleton loop that made one
-``Edge`` per edge, before the graph was stored as columns.
+``Edge`` per edge, before the graph was stored as columns. The experiment's
+random subset reference passes the edge lengths as weights on every draw.
 """
 
 from __future__ import annotations
@@ -517,6 +518,16 @@ def interval_gh_exact(a, b, X):
         sub = gg.build_graph(["u", "v"], [("e", "u", "v", d - c)])
         inner = hausdorff_graph_to_set(sub, point_set(sub, [("e", x - c) for x in xs]))
     return max(overhang, inner)
+
+
+def random_subset(G, rng, npts):
+    """npts uniform points of G: an edge by length, then an offset on it."""
+    ids, lengths = G.edge_ids, G.edge_length.tolist()
+    specs = []
+    for _ in range(npts):
+        k = rng.choices(range(len(ids)), weights=lengths)[0]
+        specs.append((ids[k], rng.random() * lengths[k]))
+    return point_set(G, specs)
 
 
 # --------------------------------------------------------------------------

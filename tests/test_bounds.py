@@ -262,6 +262,13 @@ def test_interval_errors():
         gg.interval_gh_exact(1.0, 0.0, [0.5])
     with pytest.raises(gg.EmptySet):
         gg.interval_gh_exact(0.0, 1.0, [])
+    # a PointSet is read on its segment graph, which must be given
+    ps = gg.point_set(gg.segment_graph(0.0, 1.0), [("seg", 0.5)])
+    with pytest.raises(gg.PointOutsideInterval, match="needs its segment graph"):
+        gg.interval_gh_exact(0.0, 1.0, ps)
+    star = gg.star_graph([1.0, 1.0])
+    with pytest.raises(gg.NotATree, match="single segment"):
+        gg.interval_gh_exact(0.0, 2.0, gg.point_set(star, ["c"]), star)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -392,6 +399,25 @@ def test_best_bound_computes_each_set_distance_once(graph, request, monkeypatch)
     assert [c for c in alone if c.theorem != "diameter"] == sorted(expected, key=lambda c: -c.value)
     expected = ([gg.circle_pair_bound(G, X, Y)] if circle else []) + [gg.graph_pair_bound(G, X, Y)]
     assert [c for c in paired if c.theorem != "diameter"] == sorted(expected, key=lambda c: -c.value)
+
+
+@pytest.mark.parametrize("graph", ["segment02", "circle", "theta345"])
+def test_theorems_reject_empty_sets(graph, request):
+    G = request.getfixturevalue(graph)
+    full, empty = gg.point_set(G, [G.vertices[0]]), gg.point_set(G, [])
+    singles = [gg.graph_bound, gg.best_bound]
+    pairs = [gg.graph_pair_bound, gg.best_bound]
+    if graph == "segment02":
+        singles, pairs = singles + [gg.tree_equality], pairs + [gg.tree_pair_bound]
+    if graph == "circle":
+        singles, pairs = singles + [gg.circle_bound], pairs + [gg.circle_pair_bound]
+    for fn in singles:
+        with pytest.raises(gg.EmptySet, match="X must be nonempty"):
+            fn(G, empty)
+    for fn in pairs:
+        for X, Y, label in ((empty, full, "X"), (full, empty, "Y"), (empty, empty, "X")):
+            with pytest.raises(gg.EmptySet, match=f"{label} must be nonempty"):
+                fn(G, X, Y)
 
 
 def test_certificate_invariants(segment02, circle, theta345):

@@ -1,10 +1,13 @@
 import json
 import math
+import random
 
 import pytest
 
 import ghgraph as gg
-from ghgraph.cli import main, parse_real
+from ghgraph.cli import _random_subset, main, parse_real
+
+import _brute
 
 PI = math.pi
 
@@ -415,6 +418,49 @@ def test_exit_codes(capsys, tmp_path, seg_files):
     ):
         m = _write(tmp_path / f"m{i}.json", doc)
         assert main(["oracle", "--matrix", m, "--matrix2", mx]) == 2
+    # random points need an edge to stand on
+    point = _write(tmp_path / "point.json", {"vertices": ["o"], "edges": []})
+    assert main(["experiment", "ratio", "--graph", point]) == 3
+    assert "at least one edge" in capsys.readouterr().err
+
+
+def test_construction_verification_exit_code(capsys, seg_files, tmp_path, monkeypatch):
+    # a net whose measured coverage misses epsilon fails its own check
+    graph, _, _ = seg_files
+    monkeypatch.setattr(gg.constructions, "hausdorff_graph_to_set", lambda G, A: 1.0)
+    argv = ["construct", "net", "--graph", graph, "--epsilon", "0.25", "--out", str(tmp_path / "n")]
+    assert main(argv) == 5
+    assert "net misses coverage" in capsys.readouterr().err
+
+
+def test_experiment_skips_oracle_above_eight_points(capsys, tmp_path):
+    graph = _write(tmp_path / "t.json", THETA_DOC)
+    code, doc = _run(capsys, ["experiment", "ratio", "--graph", graph, "--samples", "2", "--density", "3.0"])
+    assert code == 0
+    assert doc["points_per_subset"] == 11
+    for row in doc["rows"]:
+        assert row["oracle"] == {"op": "gh_exact", "error": "skipped-too-large"}
+        assert row["size_x"] > 8 or row["size_y"] > 8
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_random_subset_matches_reference(seed):
+    # one cumulative-weight table for all draws takes the same random stream
+    rng = random.Random(seed)
+    lengths = [rng.choice([0.5, 1.0, 1.0, 2.5]) for _ in range(60)]
+    # a 25-cycle, then chords that skip one and two vertices
+    edges = [(f"e{k}", f"v{k % 25}", f"v{(k + 1 + k // 25) % 25}", length) for k, length in enumerate(lengths)]
+    graphs = [
+        gg.build_graph([f"v{i}" for i in range(25)], edges),
+        gg.theta_graph(1.0, 1.0, 2.0),
+        gg.star_graph([1.0, 1.0, 1.0]),
+        gg.circle_graph(),
+    ]
+    for G in graphs:
+        a, b = random.Random(seed), random.Random(seed)
+        X, ref = _random_subset(G, a, 40), _brute.random_subset(G, b, 40)
+        assert X.points == ref.points
+        assert a.getstate() == b.getstate()
 
 
 def test_one_process_matches_separate_calls(capsys, seg_files, tmp_path):
