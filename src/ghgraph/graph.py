@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -337,9 +338,24 @@ def point_set(G: MetricGraph, specs: Iterable[GraphPoint | tuple | str]) -> Poin
     spec in input order; a repeated point keeps its first position.
     """
     edge, vertex, offset = _columns(G, specs)
-    key = np.where(edge >= 0, edge, -1 - vertex) + 1j * offset
-    first = np.sort(np.unique(key, return_index=True)[1])
+    # rows sorted by location, then offset; each run of equal rows keeps
+    # its least input position
+    E = len(G.edge_length)
+    key = np.where(edge >= 0, edge, E + vertex)
+    order = _location_order(key, offset, E + len(G.vertices))
+    key, t = key[order], offset[order]
+    run = np.ones(len(order), bool)
+    run[1:] = (key[1:] != key[:-1]) | (t[1:] != t[:-1])
+    first = np.sort(np.minimum.reduceat(order, np.flatnonzero(run)))
     return PointSet._from_columns(G, edge[first], vertex[first], offset[first])
+
+
+def _location_order(key, offset, bound: int) -> np.ndarray:
+    """Indices that sort rows by ``key``, an int in [0, bound), then by
+    offset: by offset first, then stably by key, which as a small unsigned
+    int sorts in linear time."""
+    order = np.argsort(offset)
+    return order[np.argsort(key[order].astype(np.min_scalar_type(bound)), kind="stable")]
 
 
 def _columns(G: MetricGraph, specs: Iterable[GraphPoint | tuple | str]):
@@ -348,6 +364,21 @@ def _columns(G: MetricGraph, specs: Iterable[GraphPoint | tuple | str]):
     the graph lacks, or a spec of the wrong shape, until the check."""
     specs = list(specs)
     vget, eget = G.vertex_index.get, G.edge_index.get
+    if specs and set(map(type, specs)) == {tuple} and set(map(len, specs)) == {2}:
+        # every spec an (edge_id, offset) tuple: one column per field, read
+        # by item getters (zip(*specs) would make one iterator per spec),
+        # and the per-spec rows below only when an offset does not convert
+        try:
+            offset = np.fromiter(map(itemgetter(1), specs), float, count=len(specs))
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            ids = map(itemgetter(0), specs)
+            edge = np.fromiter(map(eget, ids, itertools.repeat(-2)), np.int64, count=len(specs))
+            edge, vertex, offset, bad = _snapped(G, edge, np.full(len(specs), -1), offset)
+            if bad is not None:
+                _raise_for_spec(G, specs[bad])
+            return edge, vertex, offset
     rows = [
         (eget(s[0], -2), -1, s[1]) if type(s) is tuple and len(s) == 2
         else (-1, vget(s, -2), 0.0) if isinstance(s, str)

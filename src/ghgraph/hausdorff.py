@@ -24,7 +24,7 @@ from .graph import (
     _distance_field,
     _fields,
     _fields_from_arrays,
-    _same_edge_gap,
+    _location_order,
     _set_distances,
     _snapped,
     region,
@@ -61,53 +61,68 @@ def hausdorff_sets(G: MetricGraph, A: PointSet, B: PointSet) -> float:
 # distances from the continuum
 
 # On an edge e = (u, v, l), d(s, A) is the lower envelope given above
-# _distance_field in graph.py. Its candidate maxima are crossings between
-# the ascending pieces {s + d(u,A), s - t} and the descending ones
-# {(l-s) + d(v,A), t - s}, with t over the offsets of A on e: per edge 0, l
-# and (l + d(v,A) - d(u,A))/2; per source t, (t - d(u,A))/2 and
-# (l + d(v,A) + t)/2; per pair of neighbouring sources their midpoint. The
-# source t itself and an end of an excluded interval [lo, hi] would also
-# qualify, but the distance is 0 at a source and the interval holds its own
-# ends, so neither can raise the supremum. The candidates of all edges are
-# evaluated at once.
+# _distance_field in graph.py. Let t_1 < ... < t_k be A's offsets on e.
+# Between t_i and t_{i+1} the envelope is min(s - t_i, t_{i+1} - s): a route
+# out through an end is never shorter, because d(u,A) <= t_1 and
+# d(v,A) <= l - t_k. On [0, t_1] it is min(s + d(u,A), t_1 - s), and on
+# [t_k, l] it is min(s - t_k, (l - s) + d(v,A)). So the candidate maxima are:
+# on every edge its ends 0 and l; on an edge without sources the crossing
+# (l + d(v,A) - d(u,A))/2; on an edge with sources the first crossing
+# (t_1 - d(u,A))/2, the last crossing (l + d(v,A) + t_k)/2 and the midpoints
+# of neighbouring sources. Each candidate's nearest sources on its edge are
+# known from where it was made, so no search finds them.
+#
+# The value at the end 0 is d(u,A) itself, as d(u,A) <= t_1 and
+# d(u,A) <= l + d(v,A); the ends therefore give the largest vertex value.
+# Rounding can push only a crossing next to an end off [0, l], and there it
+# is worth no more than that end. A source and an end of an excluded
+# interval [lo, hi] would also qualify, but the distance is 0 at a source
+# and the interval holds its own ends, so neither can raise the supremum;
+# an excluded end of the edge is a source too. The candidates of all edges
+# are evaluated at once, each as min(s + d(u,A), (l - s) + d(v,A), |s - t|)
+# over its nearest sources t.
 
 
 def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
     """sup over the graph of the distance to the sources whose ``_fields``
     are fa, taken as 0 on the closed intervals ``excluded`` = (edge, lo, hi)."""
     vdist = _distance_field(G, fa)
-    u, v, l = G.edge_u, G.edge_v, G.edge_length
-    au, av = vdist[u], vdist[v]
-    src_e, src_t = fa[0], fa[3]
-    keys = np.unique(src_e[src_e >= 0] + 1j * src_t[src_e >= 0])
-    te, t = keys.real.astype(np.int64), keys.imag
-    pair = te[1:] == te[:-1]
-    edges = np.arange(len(l))
-    ce = np.concatenate([edges, edges, edges, te, te, te[1:][pair]])
-    cs = np.concatenate(
-        [
-            np.zeros(len(l)),
-            l,
-            (l + av - au) / 2.0,
-            (t - au[te]) / 2.0,
-            (l[te] + av[te] + t) / 2.0,
-            (t[:-1][pair] + t[1:][pair]) / 2.0,
-        ]
-    )
-    keep = (0.0 <= cs) & (cs <= l[ce])
-    ce, cs = ce[keep], cs[keep]
+    l, au, av = G.edge_length, vdist[G.edge_u], vdist[G.edge_v]
+    far = l + av
+    # the on-edge sources by edge, then offset, closed by a sentinel source
+    # on a past-the-end edge
+    e, t = np.append(fa[0], len(l)), np.append(fa[3], np.inf)
+    on = e >= 0
+    e, t = e[on], t[on]
+    order = _location_order(e, t, len(l) + 1)
+    e, t = e[order], t[order]
+    same = e[1:] == e[:-1]
+    e, t, nxt = e[:-1], t[:-1], t[1:]
+    first = np.full(len(l), np.inf)  # t_1 per edge, inf on an edge without sources
+    np.minimum.at(first, e, t)
+    # per edge the crossing next to u; per source the midpoint to the next
+    # source on its edge, or the last crossing
+    ce = np.concatenate([np.arange(len(l)), e])
+    cs = np.concatenate([(np.minimum(first, far) - au) / 2.0, (t + np.where(same, nxt, far[e])) / 2.0])
+    near = np.concatenate([first, t])
+    after = np.concatenate([first, np.where(same, nxt, np.inf)])
     val = np.minimum(cs + au[ce], (l[ce] - cs) + av[ce])
-    val = np.minimum(val, _same_edge_gap(ce, cs, keys))
+    val = np.minimum(val, np.minimum(np.abs(cs - near), np.abs(cs - after)))
+    best = vdist.max()
     if excluded is not None:
-        # s lies in some [lo, hi] of its edge iff more of that edge's
-        # intervals start at or before s than end before it; a region's
-        # intervals are sorted and disjoint per edge, so both keys are sorted
+        # only a candidate above every vertex value can raise the supremum,
+        # so only those are tested. s lies in some [lo, hi] of its edge iff
+        # more of that edge's intervals start at or before s than end before
+        # it; a region's intervals are sorted and disjoint per edge, so both
+        # keys are sorted
+        high = val > best
+        ce, cs, val = ce[high], cs[high], val[high]
         xe, lo, hi = excluded
         q = ce + 1j * cs
         starts = np.searchsorted(xe + 1j * lo, q, side="right")
         ends = np.searchsorted(xe + 1j * hi, q, side="left")
         val[starts > ends] = 0.0
-    return float(np.max(val, initial=0.0))
+    return float(max(best, np.max(val, initial=0.0)))
 
 
 def hausdorff_graph_to_set(G: MetricGraph, A: PointSet) -> float:

@@ -601,36 +601,50 @@ def test_point_set_and_thickening_match_scalar_reference(case):
 _GOOD_SPECS = ["u", ("a", 1.0), gg.GraphPoint(vertex="w"), gg.GraphPoint(edge="self", offset=0.5), ("b", 0.0)]
 
 
-@pytest.mark.parametrize("where", ["start", "middle", "end"])
-@pytest.mark.parametrize(
-    "bad",
-    [
-        ("nope", 0.5),
-        "nope",
-        ("a", math.nan),
-        ("a", math.inf),
-        ("a", -math.inf),
-        ("a", -2 * _TOL),
-        ("a", 3.0 + 2 * _TOL),
-        gg.GraphPoint(),
-        ("a", "half"),
-        ("a", None),
-        ("a", [0.5]),
-        ("a",),
-    ],
-    ids=[
-        "edge-id", "vertex-id", "nan", "inf", "-inf", "below-0", "above-l", "no-location",
-        "offset-text", "offset-none", "offset-list", "one-field",
-    ],
-)
-def test_point_set_errors_match_scalar_reference(multi, bad, where):
-    k = {"start": 0, "middle": len(_GOOD_SPECS) // 2, "end": len(_GOOD_SPECS)}[where]
-    # a second bad spec after the first, one whose offset is no number,
-    # must not be the one reported
-    specs = _GOOD_SPECS[:k] + [bad] + _GOOD_SPECS[k:] + [("a", "later")]
-    expected = _error(lambda: _brute.point_set(multi, specs))
+_BAD_SPECS = [
+    ("nope", 0.5),
+    "nope",
+    ("a", math.nan),
+    ("a", math.inf),
+    ("a", -math.inf),
+    ("a", -2 * _TOL),
+    ("a", 3.0 + 2 * _TOL),
+    gg.GraphPoint(),
+    ("a", "half"),
+    ("a", None),
+    ("a", [0.5]),
+    ("a",),
+    ("a", 0.5, 1.0),
+]
+_BAD_IDS = [
+    "edge-id", "vertex-id", "nan", "inf", "-inf", "below-0", "above-l", "no-location",
+    "offset-text", "offset-none", "offset-list", "one-field", "three-fields",
+]
+
+
+def _check_point_set_error(G, good, bad, where, later):
+    k = {"start": 0, "middle": len(good) // 2, "end": len(good)}[where]
+    # a second bad spec after the first must not be the one reported
+    specs = good[:k] + [bad] + good[k:] + [later]
+    expected = _error(lambda: _brute.point_set(G, specs))
     assert expected is not None
-    assert _error(lambda: gg.point_set(multi, specs)) == expected
+    assert _error(lambda: gg.point_set(G, specs)) == expected
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("bad", _BAD_SPECS, ids=_BAD_IDS)
+def test_point_set_errors_match_scalar_reference(multi, bad, where):
+    # mixed spec kinds, and a later spec whose offset is no number
+    _check_point_set_error(multi, _GOOD_SPECS, bad, where, ("a", "later"))
+
+
+@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize("bad", _BAD_SPECS, ids=_BAD_IDS)
+def test_point_set_errors_on_tuple_specs_match_scalar_reference(multi, bad, where):
+    # only (edge, offset) tuples around the bad spec, and a later one off its
+    # edge, so every bad spec that is such a tuple takes the column path
+    good = [("a", 1.0), ("self", 0.5), ("b", 0.0), ("spur", 0.25), ("a", 3.0)]
+    _check_point_set_error(multi, good, bad, where, ("spur", 0.5 + 2 * _TOL))
 
 
 def _multi_without_self_loop():

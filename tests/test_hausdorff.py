@@ -211,6 +211,62 @@ def test_continuum_suprema_match_scalar_reference(case):
     assert gg.hausdorff_graph_to_region(G, T) == _brute.hausdorff_graph_to_region(G, T)
 
 
+_TIE_LENGTHS = st.sampled_from([0.5, 1.0, 2.0, 2 * math.pi])
+
+
+@st.composite
+def _tie_heavy_case(draw):
+    # ties between candidate maxima: a multigraph, a cycle of equal edges or
+    # one loop, with lengths of few bits (and 2 pi); sources at k/n of an
+    # edge, n points equally spaced on every edge of a cycle or loop, and
+    # sources within TOLERANCE of both ends of an edge (snapped to its
+    # vertices) or just beyond it (kept on the edge)
+    shape = draw(st.sampled_from(["multigraph", "cycle", "loop"]))
+    if shape == "multigraph":
+        n, _, G = _draw_multigraph(draw, _TIE_LENGTHS)
+    else:
+        m, length = (1, draw(_TIE_LENGTHS)) if shape == "loop" else (draw(st.integers(2, 4)), draw(_TIE_LENGTHS))
+        G = gg.build_graph(
+            [f"v{i}" for i in range(m)], [(f"c{i}", f"v{i}", f"v{(i + 1) % m}", length) for i in range(m)]
+        )
+    tol = gg.TOLERANCE
+    fraction = st.tuples(st.integers(0, 8), st.integers(1, 8)).map(lambda kn: min(kn[0], kn[1]) / kn[1])
+    near_end = st.sampled_from([tol / 2, tol, 2 * tol, -tol / 2])
+
+    def offsets(e):
+        at_fraction = fraction.map(lambda x: x * e.length)
+        at_end = st.tuples(near_end, st.booleans()).map(lambda p: p[0] if p[1] else e.length - p[0])
+        return st.lists(at_fraction | at_end, max_size=4)
+
+    specs = [(e.id, t) for e in G.edges for t in draw(offsets(e))]
+    if shape != "multigraph" and draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        specs += [(e.id, i * e.length / k) for e in G.edges for i in range(k)]
+    specs += draw(st.lists(st.sampled_from(G.vertices), max_size=1))
+    A = gg.point_set(G, specs or G.vertices[:1])
+    intervals = {}
+    for e in G.edges:
+        cuts = sorted({min(max(x, 0.0), e.length): x for x in draw(offsets(e))}.items())
+        ivs = [(p[1], q[1]) for p, q in zip(cuts, cuts[1:]) if draw(st.booleans())]
+        if ivs:
+            intervals[e.id] = ivs
+    W = gg.region(G, intervals, draw(st.lists(st.sampled_from(G.vertices), min_size=1, max_size=2)))
+    r = draw(fraction.filter(bool)) * draw(_TIE_LENGTHS)
+    return G, A, W, r
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tie_heavy_case())
+def test_continuum_suprema_match_scalar_reference_on_ties(case):
+    # the array pass evaluates fewer candidates than the scalar loop; where a
+    # dropped one ties the maximum, the two must still agree to the bit
+    G, A, W, r = case
+    assert gg.hausdorff_graph_to_set(G, A) == _brute.hausdorff_graph_to_set(G, A)
+    assert gg.hausdorff_graph_to_region(G, W) == _brute.hausdorff_graph_to_region(G, W)
+    T = gg.thickening(G, A, r)
+    assert gg.hausdorff_graph_to_region(G, T) == _brute.hausdorff_graph_to_region(G, T)
+
+
 @settings(max_examples=200, deadline=None)
 @given(_multigraph_with_region())
 def test_region_connectivity_matches_union_find(case):

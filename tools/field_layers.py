@@ -1,0 +1,120 @@
+"""Per-call times of the field request path's layers, in process.
+
+On each graph it builds two point sets of ``(edge id, offset)`` specs drawn
+by ``bench/workloads.edge_points`` and times, per call:
+
+- ``point_set`` on the first spec list;
+- ``hausdorff_graph_to_set`` on the first set;
+- ``thickening`` of the first set by r = 0.25, the field radius;
+- ``hausdorff_graph_to_region`` on that thickening;
+- ``hausdorff_sets`` between the two sets.
+
+The graphs are the seed-0 ``bench/workloads.random_multigraph`` graphs with
+V = 500, 1000 and 2000 and E = 2V, each with 2000 points per set, as in the
+field workload, and one 60-edge graph (V = 30) with 60 points per set, the
+size of the certify workload's middle family. Each time is the best, over
+``--repeat`` rounds, of the mean of enough back-to-back calls to fill about
+20 ms.
+
+Each source tree runs in its own subprocess on the same inputs, so a parent
+checkout and this one can be compared side by side. The trees take turns
+over ``--passes`` passes, and each time printed is the least over them, so
+a slow spell of a shared host does not fall on one tree only. The last line
+counts the values that differ between trees.
+
+    python tools/field_layers.py                            # this checkout's src/
+    python tools/field_layers.py /path/to/parent/src src    # before and after
+"""
+
+import argparse
+import json
+import random
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = ((500, 1000, 2000), (1000, 2000, 2000), (2000, 4000, 2000), (30, 60, 60))
+RADIUS = 0.25
+LAYERS = ("point_set", "hausdorff_graph_to_set", "thickening", "hausdorff_graph_to_region", "hausdorff_sets")
+
+
+def per_call(fn, repeat: int) -> float:
+    """Best over ``repeat`` rounds of the mean seconds per call of fn."""
+    t0 = time.perf_counter()
+    fn()
+    number = max(1, int(0.02 / max(time.perf_counter() - t0, 1e-6)))
+    best = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / number)
+    return best
+
+
+def run(src: str, repeat: int) -> None:
+    """Time every layer on every case with the library under ``src``; one
+    JSON line per case."""
+    sys.path[:0] = [src, str(ROOT / "bench")]
+    import ghgraph as gg
+    from workloads import edge_points, random_multigraph
+
+    for V, E, k in CASES:
+        rng = random.Random(0)
+        vertices, edges = random_multigraph(rng, V, E)
+        a, b = edge_points(rng, edges, k), edge_points(rng, edges, k)
+        G = gg.build_graph(vertices, edges)
+        A, B = gg.point_set(G, a), gg.point_set(G, b)
+        T = gg.thickening(G, A, RADIUS)
+        calls = {
+            "point_set": lambda: gg.point_set(G, a),
+            "hausdorff_graph_to_set": lambda: gg.hausdorff_graph_to_set(G, A),
+            "thickening": lambda: gg.thickening(G, A, RADIUS),
+            "hausdorff_graph_to_region": lambda: gg.hausdorff_graph_to_region(G, T),
+            "hausdorff_sets": lambda: gg.hausdorff_sets(G, A, B),
+        }
+        row = {"case": f"V={V} E={E} points={k}", "us": {}, "values": {}}
+        for name in LAYERS:
+            row["us"][name] = 1e6 * per_call(calls[name], repeat)
+            if name.startswith("hausdorff"):
+                row["values"][name] = repr(calls[name]())
+        print(json.dumps(row), flush=True)
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("src", nargs="*", default=[str(ROOT / "src")], help="library source trees")
+    p.add_argument("--repeat", type=int, default=7)
+    p.add_argument("--passes", type=int, default=3)
+    p.add_argument("--one", help=argparse.SUPPRESS)
+    args = p.parse_args()
+    if args.one:
+        run(args.one, args.repeat)
+        return
+
+    results = [None] * len(args.src)
+    for _ in range(args.passes):
+        for i, src in enumerate(args.src):
+            cmd = [sys.executable, __file__, "--one", str(Path(src).resolve()), "--repeat", str(args.repeat)]
+            done = subprocess.run(cmd, check=True, capture_output=True, text=True)
+            rows = [json.loads(line) for line in done.stdout.splitlines()]
+            for row, best in zip(rows, results[i] or rows):
+                row["us"] = {name: min(us, best["us"][name]) for name, us in row["us"].items()}
+            results[i] = rows
+
+    print(f"microseconds per call, least of {args.passes} x {args.repeat} rounds; one column per tree:",
+          ", ".join(args.src))
+    for rows in zip(*results):
+        print(rows[0]["case"])
+        for name in LAYERS:
+            print(f"  {name:<27}" + "".join(f"{row['us'][name]:12.1f}" for row in rows))
+    differ = sum(
+        len({row["values"][name] for row in rows}) > 1 for rows in zip(*results) for name in rows[0]["values"]
+    )
+    print(f"values that differ between trees: {differ}")
+
+
+if __name__ == "__main__":
+    main()
