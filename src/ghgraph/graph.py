@@ -342,20 +342,21 @@ def point_set(G: MetricGraph, specs: Iterable[GraphPoint | tuple | str]) -> Poin
     # its least input position
     E = len(G.edge_length)
     key = np.where(edge >= 0, edge, E + vertex)
-    order = _location_order(key, offset, E + len(G.vertices))
-    key, t = key[order], offset[order]
+    order, key, t = _location_order(key, offset, E + len(G.vertices))
     run = np.ones(len(order), bool)
     run[1:] = (key[1:] != key[:-1]) | (t[1:] != t[:-1])
     first = np.sort(np.minimum.reduceat(order, np.flatnonzero(run)))
     return PointSet._from_columns(G, edge[first], vertex[first], offset[first])
 
 
-def _location_order(key, offset, bound: int) -> np.ndarray:
+def _location_order(key, offset, bound: int):
     """Indices that sort rows by ``key``, an int in [0, bound), then by
-    offset: by offset first, then stably by key, which as a small unsigned
-    int sorts in linear time."""
+    offset, and the two columns in that order; rows equal in both come in
+    no fixed order. Sorts by offset first, then stably by key, which as a
+    small unsigned int sorts in linear time."""
     order = np.argsort(offset)
-    return order[np.argsort(key[order].astype(np.min_scalar_type(bound)), kind="stable")]
+    order = order[np.argsort(key[order].astype(np.min_scalar_type(bound)), kind="stable")]
+    return order, key[order], offset[order]
 
 
 def _columns(G: MetricGraph, specs: Iterable[GraphPoint | tuple | str]):
@@ -545,26 +546,28 @@ def _distance_field(G: MetricGraph, fa) -> np.ndarray:
     return dijkstra(M, directed=True, indices=sources, min_only=True)[:n]
 
 
-def _same_edge_gap(qe, qs, keys) -> np.ndarray:
-    """min |s - t| over the points t on each query's own edge, inf if none;
-    ``keys`` holds those points sorted as complex edge + i offset, which
-    sort by edge, then offset, so one search finds each query's two
-    neighbours."""
-    gap = np.full(len(qe), np.inf)
-    if keys.size:
-        r = np.searchsorted(keys, qe + 1j * qs)
-        for nb in (keys[np.maximum(r - 1, 0)], keys[np.minimum(r, keys.size - 1)]):
-            gap = np.where(nb.real == qe, np.minimum(gap, np.abs(qs - nb.imag)), gap)
-    return gap
-
-
 def _set_distances(G: MetricGraph, fp, fa) -> np.ndarray:
     """d(p, A) for every point p, with p and A given as ``_fields``."""
     field = _distance_field(G, fa)
     ep, ap, bp, sp, tp = fp
     out = np.minimum(sp + field[ap], tp + field[bp])
-    pe, pt = fa[0], fa[3]
-    return np.minimum(out, _same_edge_gap(ep, sp, np.sort(pe[pe >= 0] + 1j * pt[pe >= 0])))
+    # p and A's on-edge points in one location order (p's vertices on the
+    # past-the-end edge E), closed by a member of A on edge E + 1: p's
+    # nearest members of A on its edge are the last A row before it and the
+    # first after it, or the closing row (index -1 before) if there is none
+    E, on = len(G.edge_length), fa[0] >= 0
+    key = np.concatenate([np.where(ep >= 0, ep, E), fa[0][on], [E + 1]])
+    s = np.concatenate([sp, fa[3][on], [0.0]])
+    order, key, s = _location_order(key, s, E + 2)
+    row = np.where(order >= len(ep), np.arange(len(order)), -1)
+    before = np.maximum.accumulate(row)
+    after = np.minimum.accumulate(np.where(row < 0, len(order), row)[::-1])[::-1]
+    gap = np.empty(len(order))
+    gap[order] = np.minimum(
+        np.where(key[before] == key, s - s[before], np.inf),
+        np.where(key[after] == key, s[after] - s, np.inf),
+    )
+    return np.minimum(out, gap[: len(ep)])
 
 
 def distance_to_set(G: MetricGraph, p: GraphPoint, A: PointSet) -> float:
@@ -905,26 +908,24 @@ def thickening(G: MetricGraph, A: PointSet, r: float) -> EdgeIntervalSet:
         raise EmptySet("thickening of an empty point set")
     fa = _fields(G, A)
     vdist = _distance_field(G, fa)
-    # raw intervals from u, from v and around each source on an edge; one
-    # that is empty (hi <= lo) is dropped, which also drops those from an
-    # end farther than r from A
+    # raw intervals clamped to [0, l], per edge from u, around its sources
+    # by offset, then from v: lo and hi never decrease in that order, as
+    # r - d(u,A) <= r <= t + r and l - (r - d(v,A)) >= l - r >= t - r, and a
+    # stable sort by edge keeps it. Empty ones (hi <= lo) are dropped.
     l, E, on = G.edge_length, np.arange(len(G.edge_ids)), fa[0] >= 0
-    se, t = fa[0][on], fa[3][on]
-    edge = np.concatenate([E, E, se])
-    lo = np.concatenate([np.zeros(len(E)), np.maximum(0.0, l - (r - vdist[G.edge_v])), np.maximum(0.0, t - r)])
-    hi = np.concatenate([np.minimum(l, r - vdist[G.edge_u]), l, np.minimum(l[se], t + r)])
-    keep = hi > lo
-    order = np.lexsort((hi[keep], lo[keep], edge[keep]))
-    edge, lo, hi = edge[keep][order], lo[keep][order], hi[keep][order]
-    # merge open intervals on strict overlap only: two that merely touch
-    # leave that point uncovered. The running maximum of edge + i hi is the
-    # end of the fragment open on the row's edge, if any.
-    reach = np.maximum.accumulate(edge + 1j * hi)
-    new = np.ones(len(edge), dtype=bool)
-    new[1:] = (edge[1:] != reach[:-1].real) | (lo[1:] >= reach[:-1].imag)
-    start = np.flatnonzero(new)
+    _, se, t = _location_order(fa[0][on], fa[3][on], len(E))
+    edge = np.concatenate([E, se, E])
+    lo = np.concatenate([np.zeros(len(E)), np.maximum(0.0, t - r), np.maximum(0.0, l - (r - vdist[G.edge_v]))])
+    hi = np.concatenate([np.minimum(l, r - vdist[G.edge_u]), np.minimum(l[se], t + r), l])
+    order = np.argsort(edge.astype(np.min_scalar_type(len(E))), kind="stable")
+    keep = order[hi[order] > lo[order]]
+    edge, lo, hi = edge[keep], lo[keep], hi[keep]
+    # merge open intervals on strict overlap only (two that merely touch
+    # leave that point uncovered); a fragment runs from one cut to the next
+    cut = np.ones(len(edge) + 1, dtype=bool)
+    cut[1:-1] = (edge[1:] != edge[:-1]) | (lo[1:] >= hi[:-1])
     return EdgeIntervalSet._from_columns(
-        G, edge[start], lo[start], np.maximum.reduceat(hi, start), np.flatnonzero(vdist < r)
+        G, edge[cut[:-1]], lo[cut[:-1]], hi[cut[1:]], np.flatnonzero(vdist < r)
     )
 
 

@@ -93,9 +93,7 @@ def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
     # on a past-the-end edge
     e, t = np.append(fa[0], len(l)), np.append(fa[3], np.inf)
     on = e >= 0
-    e, t = e[on], t[on]
-    order = _location_order(e, t, len(l) + 1)
-    e, t = e[order], t[order]
+    _, e, t = _location_order(e[on], t[on], len(l) + 1)
     same = e[1:] == e[:-1]
     e, t, nxt = e[:-1], t[:-1], t[1:]
     first = np.full(len(l), np.inf)  # t_1 per edge, inf on an edge without sources
@@ -113,8 +111,9 @@ def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
         # only a candidate above every vertex value can raise the supremum,
         # so only those are tested. s lies in some [lo, hi] of its edge iff
         # more of that edge's intervals start at or before s than end before
-        # it; a region's intervals are sorted and disjoint per edge, so both
-        # keys are sorted
+        # it. The complex keys edge + i end are sorted as they stand, since a
+        # region's intervals are sorted and disjoint per edge; a merged order
+        # would sort them on every call and leave ties at an end unordered.
         high = val > best
         ce, cs, val = ce[high], cs[high], val[high]
         xe, lo, hi = excluded

@@ -9,16 +9,18 @@ boundary and shortest non-terminal edge references are the degree dict
 filled by a loop over the edges. The continuum
 Hausdorff reference is the scalar per-edge envelope loop; it reads the
 graph's own multi-source distance field, so it checks the envelope, not the
-field. The point-set and thickening references are the per-spec
-``edge_point`` loop and the per-edge interval merge; a thickening is a plain
-record of interval and vertex ids. The region connectivity reference is a
-union-find over intervals and vertices, and the interval GH reference takes
-the supremum on a one-edge graph over the subset's span. The exact GH search
-reference is the float forward-check search the pair-bitmask search
-replaced; it walks the same tree and counts the same assignments. The graph
-build reference is the per-edge validation and skeleton loop that made one
-``Edge`` per edge, before the graph was stored as columns. The experiment's
-random subset reference passes the edge lengths as weights on every draw.
+field. The set-to-set reference takes each query point's distance on its
+own, from the same field. The point-set and thickening references are the
+per-spec ``edge_point`` loop and the per-edge interval merge; a thickening
+is a plain record of interval and vertex ids. The region connectivity
+reference is a union-find over intervals and vertices, and the interval GH
+reference takes the supremum on a one-edge graph over the subset's span.
+The exact GH search reference is the float forward-check search the
+pair-bitmask search replaced; it walks the same tree and counts the same
+assignments. The graph build reference is the per-edge validation and
+skeleton loop that made one ``Edge`` per edge, before the graph was stored
+as columns. The experiment's random subset reference passes the edge
+lengths as weights on every draw.
 """
 
 from __future__ import annotations
@@ -348,6 +350,25 @@ def hausdorff_graph_to_region(G, W):
             pts.append(edge_point(G, eid, hi))
             excluded.setdefault(eid, []).append((lo, hi))
     return _sup_distance_to_sources(G, PointSet(pts), excluded)
+
+
+def set_distances(G, P, A):
+    """d(p, A) for every point p of P, one point at a time: out through an
+    end of p's edge, or along the edge to a member of A on it; reads the
+    graph's own multi-source distance field."""
+    vdist = _distance_field(G, _point_fields(G, A))
+    out = []
+    for p in P:
+        if p.vertex is not None:
+            out.append(float(vdist[G.vertex_index[p.vertex]]))
+            continue
+        e, s = G.edge(p.edge), p.offset
+        best = min(s + float(vdist[G.vertex_index[e.u]]), (e.length - s) + float(vdist[G.vertex_index[e.v]]))
+        for q in A:
+            if q.edge == p.edge:
+                best = min(best, abs(s - q.offset))
+        out.append(best)
+    return out
 
 
 # --------------------------------------------------------------------------

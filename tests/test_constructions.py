@@ -275,6 +275,13 @@ def test_one_point_graph():
     assert gg.hausdorff_graph_to_set(G, net) == 0.0
     certs = {c.theorem: c for c in gg.best_bound(G, net)}
     assert certs["diameter"].value == 0.0
+    # with no edge a thickening is its vertices alone
+    T = gg.thickening(G, gg.point_set(G, ["o"]), 1.0)
+    assert T.intervals == {}
+    assert T.vertices == frozenset({"o"})
+    assert gg.hausdorff_graph_to_region(G, T) == 0.0
+    assert gg.region_is_connected(G, T)
+    assert gg.hausdorff_sets(G, net, net) == 0.0
 
 
 @pytest.mark.parametrize("eps", [0.6, 0.35, 0.2])

@@ -475,6 +475,13 @@ def test_thickening_interior(segment01):
     W = gg.thickening(segment01, A, 0.2)
     assert W.intervals == {"seg": ((0.3, 0.7),)}
     assert not W.vertices
+    # a ball that reaches an end ties the interval grown from that end at 0
+    # (or l), and reaches past it: one fragment with the ball's far end
+    for t, fragment, vertex in [(0.1, (0.0, 0.4), "u"), (0.9, (0.9 - 0.3, 1.0), "v")]:
+        A = gg.point_set(segment01, [("seg", t)])
+        W, ref = gg.thickening(segment01, A, 0.3), _brute.thickening(segment01, A, 0.3)
+        assert W.intervals == ref.intervals == {"seg": (fragment,)}
+        assert W.vertices == ref.vertices == frozenset({vertex})
 
 
 def test_thickening_vertex_strictness(segment01):
@@ -568,6 +575,34 @@ def _specs_and_radius(draw):
         specs += [(e.id, k * r / 2), (e.id, (k + 4) * r / 2)]
     specs += draw(st.lists(st.sampled_from(specs), max_size=4))
     return G, draw(st.permutations(specs)), r
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([255, 256, 65535, 65536]).flatmap(
+        lambda bound: st.tuples(
+            st.just(bound),
+            st.lists(
+                st.tuples(
+                    st.sampled_from([0, 1, bound - 2, bound - 1]) | st.integers(0, bound - 1),
+                    st.sampled_from([0.0, 0.25, 0.5, 1.0, math.inf]),
+                ),
+                max_size=40,
+            ),
+        )
+    )
+)
+def test_location_order_sorts_by_key_then_offset(case):
+    # rows equal in (key, offset) may come in any order, so the gathered
+    # columns are compared, not the indices
+    bound, rows = case
+    key = np.array([k for k, _ in rows], dtype=np.int64)
+    offset = np.array([t for _, t in rows], dtype=float)
+    order, k, t = graph_mod._location_order(key, offset, bound)
+    ref = np.lexsort((offset, key))
+    assert sorted(order.tolist()) == list(range(len(rows)))
+    assert np.array_equal(k, key[order]) and np.array_equal(t, offset[order])
+    assert np.array_equal(k, key[ref]) and np.array_equal(t, offset[ref])
 
 
 def _error(call):

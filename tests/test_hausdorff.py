@@ -244,6 +244,10 @@ def _tie_heavy_case(draw):
         specs += [(e.id, i * e.length / k) for e in G.edges for i in range(k)]
     specs += draw(st.lists(st.sampled_from(G.vertices), max_size=1))
     A = gg.point_set(G, specs or G.vertices[:1])
+    # a second set from the same offsets, sharing some of A's specs
+    specs_b = [(e.id, t) for e in G.edges for t in draw(offsets(e))]
+    specs_b += draw(st.lists(st.sampled_from(specs + list(G.vertices)), max_size=3))
+    B = gg.point_set(G, specs_b or G.vertices[-1:])
     intervals = {}
     for e in G.edges:
         cuts = sorted({min(max(x, 0.0), e.length): x for x in draw(offsets(e))}.items())
@@ -252,7 +256,7 @@ def _tie_heavy_case(draw):
             intervals[e.id] = ivs
     W = gg.region(G, intervals, draw(st.lists(st.sampled_from(G.vertices), min_size=1, max_size=2)))
     r = draw(fraction.filter(bool)) * draw(_TIE_LENGTHS)
-    return G, A, W, r
+    return G, A, B, W, r
 
 
 @settings(max_examples=200, deadline=None)
@@ -260,11 +264,18 @@ def _tie_heavy_case(draw):
 def test_continuum_suprema_match_scalar_reference_on_ties(case):
     # the array pass evaluates fewer candidates than the scalar loop; where a
     # dropped one ties the maximum, the two must still agree to the bit
-    G, A, W, r = case
+    G, A, B, W, r = case
     assert gg.hausdorff_graph_to_set(G, A) == _brute.hausdorff_graph_to_set(G, A)
     assert gg.hausdorff_graph_to_region(G, W) == _brute.hausdorff_graph_to_region(G, W)
     T = gg.thickening(G, A, r)
     assert gg.hausdorff_graph_to_region(G, T) == _brute.hausdorff_graph_to_region(G, T)
+    # set-to-set distances read each query's neighbours on its edge; a
+    # query at a member of the other set, or midway between two, ties them
+    a_to_b, b_to_a = max(_brute.set_distances(G, A, B)), max(_brute.set_distances(G, B, A))
+    assert gg.directed_hausdorff_sets(G, A, B) == a_to_b
+    assert gg.directed_hausdorff_sets(G, B, A) == b_to_a
+    assert gg.hausdorff_sets(G, A, B) == max(a_to_b, b_to_a)
+    assert [gg.distance_to_set(G, p, A) for p in B] == _brute.set_distances(G, B, A)
 
 
 @settings(max_examples=200, deadline=None)
