@@ -26,10 +26,10 @@ from .graph import (
     TOLERANCE,
     MetricGraph,
     PointSet,
-    _fields,
     _is_circle,
     _is_segment,
     _is_tree,
+    _on_graph,
     boundary,
     circle_circumference,
     graph_diameter,
@@ -179,7 +179,7 @@ def _graph_bound(G: MetricGraph, X: PointSet, h: float) -> BoundCertificate:
 def _graph_pair_bound(G: MetricGraph, X: PointSet, eps: float, h_xy: float) -> BoundCertificate:
     if _is_tree(G):
         return _tree_pair_bound(G, X, eps, h_xy)
-    leaves = _graph_leaves(G, X, hausdorff_graph_to_set(G, X))
+    leaves = _graph_leaves(G, X, hausdorff_graph_to_set(G, X)) if boundary(G) else ()
     positive = "min{d_H(X,Y) - 2 eps, e(G)/12 - eps} is positive"
     cap = smallest_nonterminal_edge(G) / 12.0
     return _pair("graph_pair_bound", h_xy, eps, cap, positive, "eps = d_H(G, Y)", leaves)
@@ -288,8 +288,8 @@ def interval_gh_exact(
             raise PointOutsideInterval("a PointSet needs its segment graph")
         if not _is_segment(G):
             raise NotATree("point set does not live on a single segment")
-        _, w, _, off, _ = _fields(G, X)  # a point's offset from u, or the vertex it is
-        xs = (a + off + np.where(w == G.edge_v[0], G.edge_length[0], 0.0)).tolist()
+        X = _on_graph(G, X)  # a point's offset from u, or the vertex it is
+        xs = (a + X._offset + np.where(X._vertex == G.edge_v[0], G.edge_length[0], 0.0)).tolist()
     else:
         xs = [float(x) for x in X]
     if not xs:

@@ -395,6 +395,8 @@ def _cmd_experiment(args: argparse.Namespace) -> dict:
     G = load_graph(args.graph)
     rng = random.Random(args.seed)
     total_len = sum(G.edge_length.tolist())  # left to right: np.sum's order can move the last bit
+    if not (args.density > 0.0 and math.isfinite(args.density * total_len)):
+        raise ValidationError(f"density must be positive, with a finite point count, got {args.density}")
     npts = max(1, round(args.density * total_len))
     e_val = smallest_nonterminal_edge(G)
 

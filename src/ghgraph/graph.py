@@ -275,10 +275,11 @@ class PointSet:
     reads the columns; ``points``, iteration and indexing build the
     :class:`GraphPoint` views from them on first use, once. A set made
     directly from points, ``PointSet(points)``, holds those points and no
-    graph. Equality and hash are those of the set of points either way.
+    graph. Equality and hash are those of the set of points either way. A
+    set on a graph keeps its distance field, read-only, from first use.
     """
 
-    __slots__ = ("_graph", "_edge", "_vertex", "_offset", "_points")
+    __slots__ = ("_graph", "_edge", "_vertex", "_offset", "_points", "_field")
 
     def __init__(self, points: Iterable[GraphPoint]):
         seen: set[GraphPoint] = set()
@@ -288,15 +289,23 @@ class PointSet:
                 seen.add(p)
                 kept.append(p)
         self._points: tuple[GraphPoint, ...] | None = tuple(kept)
-        self._graph = self._edge = self._vertex = self._offset = None
+        self._graph = self._edge = self._vertex = self._offset = self._field = None
 
     @classmethod
     def _from_columns(cls, G: MetricGraph, edge, vertex, offset) -> "PointSet":
         A = cls.__new__(cls)
         for a in (edge, vertex, offset):
             a.flags.writeable = False
-        A._graph, A._edge, A._vertex, A._offset, A._points = G, edge, vertex, offset, None
+        A._graph, A._edge, A._vertex, A._offset, A._points, A._field = G, edge, vertex, offset, None, None
         return A
+
+    @property
+    def _distances(self) -> np.ndarray:
+        """d(w, self) for every vertex w of the set's graph, searched once."""
+        if self._field is None:
+            self._field = _distance_field(self._graph, *_anchors(self))
+            self._field.flags.writeable = False
+        return self._field
 
     @property
     def points(self) -> tuple[GraphPoint, ...]:
@@ -469,27 +478,23 @@ def _raise_for_spec(G: MetricGraph, s) -> None:
 # include the complementary arc through the basepoint).
 
 
-def _fields(G: MetricGraph, pts: Sequence[GraphPoint] | PointSet):
-    """Edge index (-1 for a vertex), anchors a and b, offsets to a and to b.
-
-    A set built on G is a gather from its columns; any other points (a
-    sequence, a set made without a graph or on another graph) are checked
-    on G as ``point_set`` checks them."""
-    if isinstance(pts, PointSet) and pts._graph is G:
-        return _fields_from_arrays(G, pts._edge, pts._vertex, pts._offset)
-    return _fields_from_arrays(G, *_columns(G, pts))
-
-
-def _fields_from_arrays(G: MetricGraph, edge, w, off):
-    """``_fields`` from edge indices, vertex indices (where edge is -1) and
-    offsets along the edges (ignored at vertices)."""
-    on = edge >= 0
-    a, b = w.copy(), w.copy()
+def _anchors(A: PointSet):
+    """Anchors a, b of a set's points on its graph and the offsets to them;
+    the offset column, 0 at a vertex, is the offset to a."""
+    G, edge, on = A._graph, A._edge, A._edge >= 0
+    a, b = A._vertex.copy(), A._vertex.copy()
     a[on], b[on] = G.edge_u[edge[on]], G.edge_v[edge[on]]
-    off_a, off_b = np.zeros(len(edge)), np.zeros(len(edge))
-    off_a[on] = off[on]
-    off_b[on] = G.edge_length[edge[on]] - off[on]
-    return edge, a, b, off_a, off_b
+    off_b = np.zeros(len(edge))
+    off_b[on] = G.edge_length[edge[on]] - A._offset[on]
+    return a, b, A._offset, off_b
+
+
+def _on_graph(G: MetricGraph, pts: Sequence[GraphPoint] | PointSet) -> PointSet:
+    """pts as a set on G: itself if built on G, else its points checked on G
+    as ``point_set`` checks them, in order and with repeats."""
+    if isinstance(pts, PointSet) and pts._graph is G:
+        return pts
+    return PointSet._from_columns(G, *_columns(G, pts))
 
 
 def pairwise_distances(
@@ -500,15 +505,15 @@ def pairwise_distances(
     """Full |A| x |B| matrix of geodesic distances."""
     if len(A) == 0 or len(B) == 0:
         raise EmptySet("distance against an empty point collection")
-    ea, aa, ba, oa, ob = _fields(G, A)
-    eb, ab, bb, qa, qb = _fields(G, B)
+    A, B = _on_graph(G, A), _on_graph(G, B)
+    (aa, ba, oa, ob), (ab, bb, qa, qb) = _anchors(A), _anchors(B)
     D = G.vertex_distances
     oa, ob = oa[:, None], ob[:, None]
     out = oa + D[aa[:, None], ab[None, :]] + qa[None, :]
     np.minimum(out, oa + D[aa[:, None], bb[None, :]] + qb[None, :], out=out)
     np.minimum(out, ob + D[ba[:, None], ab[None, :]] + qa[None, :], out=out)
     np.minimum(out, ob + D[ba[:, None], bb[None, :]] + qb[None, :], out=out)
-    shared = (ea[:, None] == eb[None, :]) & (ea[:, None] >= 0)
+    shared = (A._edge[:, None] == B._edge[None, :]) & (A._edge[:, None] >= 0)
     if shared.any():
         out = np.where(shared, np.minimum(out, np.abs(oa - qa[None, :])), out)
     return out
@@ -531,9 +536,8 @@ def point_distance(G: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
 # over A's offsets t on e: a geodesic leaves e at an endpoint or stays on e.
 
 
-def _distance_field(G: MetricGraph, fa) -> np.ndarray:
-    """d(w, A) for every vertex w, where ``fa`` holds the ``_fields`` of A."""
-    _, a_idx, b_idx, off_a, off_b = fa
+def _distance_field(G: MetricGraph, a_idx, b_idx, off_a, off_b) -> np.ndarray:
+    """d(w, A) for every vertex w, from the anchors of A and the offsets to them."""
     n, S = len(G.vertices), G._skeleton
     walk = np.full(n, np.inf)
     np.minimum.at(walk, a_idx, off_a)
@@ -546,20 +550,19 @@ def _distance_field(G: MetricGraph, fa) -> np.ndarray:
     return dijkstra(M, directed=True, indices=sources, min_only=True)[:n]
 
 
-def _set_distances(G: MetricGraph, fp, fa) -> np.ndarray:
-    """d(p, A) for every point p, with p and A given as ``_fields``."""
-    field = _distance_field(G, fa)
-    ep, ap, bp, sp, tp = fp
-    out = np.minimum(sp + field[ap], tp + field[bp])
+def _set_distances(G: MetricGraph, P: PointSet, A: PointSet) -> np.ndarray:
+    """d(p, A) for every point p of P, both sets on G."""
+    a, b, sp, tp = _anchors(P)
+    out = np.minimum(sp + A._distances[a], tp + A._distances[b])
     # p and A's on-edge points in one location order (p's vertices on the
     # past-the-end edge E), closed by a member of A on edge E + 1: p's
     # nearest members of A on its edge are the last A row before it and the
     # first after it, or the closing row (index -1 before) if there is none
-    E, on = len(G.edge_length), fa[0] >= 0
-    key = np.concatenate([np.where(ep >= 0, ep, E), fa[0][on], [E + 1]])
-    s = np.concatenate([sp, fa[3][on], [0.0]])
+    E, on = len(G.edge_length), A._edge >= 0
+    key = np.concatenate([np.where(P._edge >= 0, P._edge, E), A._edge[on], [E + 1]])
+    s = np.concatenate([sp, A._offset[on], [0.0]])
     order, key, s = _location_order(key, s, E + 2)
-    row = np.where(order >= len(ep), np.arange(len(order)), -1)
+    row = np.where(order >= len(P), np.arange(len(order)), -1)
     before = np.maximum.accumulate(row)
     after = np.minimum.accumulate(np.where(row < 0, len(order), row)[::-1])[::-1]
     gap = np.empty(len(order))
@@ -567,14 +570,14 @@ def _set_distances(G: MetricGraph, fp, fa) -> np.ndarray:
         np.where(key[before] == key, s - s[before], np.inf),
         np.where(key[after] == key, s[after] - s, np.inf),
     )
-    return np.minimum(out, gap[: len(ep)])
+    return np.minimum(out, gap[: len(P)])
 
 
 def distance_to_set(G: MetricGraph, p: GraphPoint, A: PointSet) -> float:
     """Distance from a point to the nearest member of a non-empty point set."""
     if len(A) == 0:
         raise EmptySet("distance to an empty point set")
-    return float(_set_distances(G, _fields(G, [p]), _fields(G, A))[0])
+    return float(_set_distances(G, _on_graph(G, [p]), _on_graph(G, A))[0])
 
 
 def set_diameter(G: MetricGraph, A: PointSet) -> float:
@@ -906,14 +909,14 @@ def thickening(G: MetricGraph, A: PointSet, r: float) -> EdgeIntervalSet:
         raise NonPositiveRadius(f"radius must be positive, got {r}")
     if len(A) == 0:
         raise EmptySet("thickening of an empty point set")
-    fa = _fields(G, A)
-    vdist = _distance_field(G, fa)
+    A = _on_graph(G, A)
+    vdist = A._distances
     # raw intervals clamped to [0, l], per edge from u, around its sources
     # by offset, then from v: lo and hi never decrease in that order, as
     # r - d(u,A) <= r <= t + r and l - (r - d(v,A)) >= l - r >= t - r, and a
     # stable sort by edge keeps it. Empty ones (hi <= lo) are dropped.
-    l, E, on = G.edge_length, np.arange(len(G.edge_ids)), fa[0] >= 0
-    _, se, t = _location_order(fa[0][on], fa[3][on], len(E))
+    l, E, on = G.edge_length, np.arange(len(G.edge_ids)), A._edge >= 0
+    _, se, t = _location_order(A._edge[on], A._offset[on], len(E))
     edge = np.concatenate([E, se, E])
     lo = np.concatenate([np.zeros(len(E)), np.maximum(0.0, t - r), np.maximum(0.0, l - (r - vdist[G.edge_v]))])
     hi = np.concatenate([np.minimum(l, r - vdist[G.edge_u]), np.minimum(l[se], t + r), l])

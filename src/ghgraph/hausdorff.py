@@ -2,8 +2,8 @@
 
 Every distance to a finite set starts from its distance field, the
 distance from each vertex to the set, given by one multi-source graph
-search; a point then leaves its edge through an endpoint or reaches the
-set along the edge. Distances from the whole graph (or from a region given
+search and kept on the set; a point then leaves its edge through an
+endpoint or reaches the set along the edge. Distances from the whole graph (or from a region given
 by edge intervals) are suprema over the continuum: on each edge the
 distance to a finite source set is a lower envelope of functions that are
 affine with slopes +1 or -1, so the supremum sits at an endpoint or where
@@ -21,10 +21,8 @@ from .graph import (
     EdgeIntervalSet,
     MetricGraph,
     PointSet,
-    _distance_field,
-    _fields,
-    _fields_from_arrays,
     _location_order,
+    _on_graph,
     _set_distances,
     _snapped,
     region,
@@ -39,22 +37,21 @@ __all__ = [
 ]
 
 
-def _fields_of_both(G: MetricGraph, A: PointSet, B: PointSet):
+def _both_on(G: MetricGraph, A: PointSet, B: PointSet):
     if len(A) == 0 or len(B) == 0:
         raise EmptySet("Hausdorff distance against an empty point set")
-    return _fields(G, A), _fields(G, B)
+    return _on_graph(G, A), _on_graph(G, B)
 
 
 def directed_hausdorff_sets(G: MetricGraph, A: PointSet, B: PointSet) -> float:
     """sup over a in A of the distance from a to the nearest point of B."""
-    fa, fb = _fields_of_both(G, A, B)
-    return float(_set_distances(G, fa, fb).max())
+    return float(_set_distances(G, *_both_on(G, A, B)).max())
 
 
 def hausdorff_sets(G: MetricGraph, A: PointSet, B: PointSet) -> float:
     """Symmetric Hausdorff distance: the larger of the two directed values."""
-    fa, fb = _fields_of_both(G, A, B)
-    return float(max(_set_distances(G, fa, fb).max(), _set_distances(G, fb, fa).max()))
+    A, B = _both_on(G, A, B)
+    return float(max(_set_distances(G, A, B).max(), _set_distances(G, B, A).max()))
 
 
 # --------------------------------------------------------------------------
@@ -83,15 +80,15 @@ def hausdorff_sets(G: MetricGraph, A: PointSet, B: PointSet) -> float:
 # over its nearest sources t.
 
 
-def _sup_distance(G: MetricGraph, fa, excluded=None) -> float:
-    """sup over the graph of the distance to the sources whose ``_fields``
-    are fa, taken as 0 on the closed intervals ``excluded`` = (edge, lo, hi)."""
-    vdist = _distance_field(G, fa)
+def _sup_distance(G: MetricGraph, A: PointSet, excluded=None) -> float:
+    """sup over the graph of the distance to the set A on G, taken as 0 on
+    the closed intervals ``excluded`` = (edge, lo, hi)."""
+    vdist = A._distances
     l, au, av = G.edge_length, vdist[G.edge_u], vdist[G.edge_v]
     far = l + av
     # the on-edge sources by edge, then offset, closed by a sentinel source
     # on a past-the-end edge
-    e, t = np.append(fa[0], len(l)), np.append(fa[3], np.inf)
+    e, t = np.append(A._edge, len(l)), np.append(A._offset, np.inf)
     on = e >= 0
     _, e, t = _location_order(e[on], t[on], len(l) + 1)
     same = e[1:] == e[:-1]
@@ -132,33 +129,30 @@ def hausdorff_graph_to_set(G: MetricGraph, A: PointSet) -> float:
     """
     if len(A) == 0:
         raise EmptySet("Hausdorff distance to an empty point set")
-    return _sup_distance(G, _fields(G, A))
+    return _sup_distance(G, _on_graph(G, A))
 
 
 def _region_sources(G: MetricGraph, W: EdgeIntervalSet):
-    """``_fields`` of W's vertices and of its interval ends, snapped to the
-    edge's vertices as ``edge_point`` does, and the intervals as
+    """W's vertices and its interval ends as one set on G, the ends snapped
+    to the edge's vertices as ``edge_point`` does, and the intervals as
     (edge, lo, hi) columns. A region built on another graph is read by its
     ids."""
     if W._graph is not G:
         W = region(G, W.intervals, W.vertices)
-    edge, off = np.concatenate([W.edge, W.edge]), np.concatenate([W.lo, W.hi])
-    edge, w, off, _ = _snapped(G, edge, np.full(len(edge), -1), off)
-    fa = _fields_from_arrays(
-        G,
-        np.concatenate([np.full(len(W.vertex), -1), edge]),
-        np.concatenate([W.vertex, w]),
-        np.concatenate([np.zeros(len(W.vertex)), off]),
-    )
-    return fa, (W.edge, W.lo, W.hi)
+    nv = len(W.vertex)
+    edge = np.concatenate([np.full(nv, -1), W.edge, W.edge])
+    vertex = np.concatenate([W.vertex, np.full(2 * len(W.edge), -1)])
+    off = np.concatenate([np.zeros(nv), W.lo, W.hi])
+    edge, vertex, off, _ = _snapped(G, edge, vertex, off)
+    return PointSet._from_columns(G, edge, vertex, off), (W.edge, W.lo, W.hi)
 
 
 def hausdorff_graph_to_region(G: MetricGraph, W: EdgeIntervalSet) -> float:
     """sup over the graph of the distance to the closure of the region W."""
     if W.is_empty:
         raise EmptyRegion("Hausdorff distance to an empty region")
-    fa, excluded = _region_sources(G, W)
-    return _sup_distance(G, fa, excluded)
+    A, excluded = _region_sources(G, W)
+    return _sup_distance(G, A, excluded)
 
 
 def directed_hausdorff_boundary(G: MetricGraph, A: PointSet) -> float:
@@ -168,4 +162,4 @@ def directed_hausdorff_boundary(G: MetricGraph, A: PointSet) -> float:
     leaves = G.vertex_degree == 1
     if not leaves.any():
         return 0.0
-    return float(_distance_field(G, _fields(G, A))[leaves].max())
+    return float(_on_graph(G, A)._distances[leaves].max())

@@ -311,7 +311,7 @@ def _edge_envelope_max(l, au, av, ts, excluded=None):
 
 
 def _sup_distance_to_sources(G, sources, excluded_by_edge=None):
-    vdist = _distance_field(G, _point_fields(G, sources))
+    vdist = _distance_field(G, *_point_fields(G, sources)[1:])
     if not G.edges:
         return float(vdist.max())
     on_edge = {}
@@ -356,7 +356,7 @@ def set_distances(G, P, A):
     """d(p, A) for every point p of P, one point at a time: out through an
     end of p's edge, or along the edge to a member of A on it; reads the
     graph's own multi-source distance field."""
-    vdist = _distance_field(G, _point_fields(G, A))
+    vdist = _distance_field(G, *_point_fields(G, A)[1:])
     out = []
     for p in P:
         if p.vertex is not None:
@@ -464,7 +464,7 @@ Region = namedtuple("Region", "intervals vertices")
 def thickening(G, A, r):
     """Union of open balls of radius r around the points A, edge by edge;
     reads the graph's own multi-source distance field."""
-    vdist = _distance_field(G, _point_fields(G, A))
+    vdist = _distance_field(G, *_point_fields(G, A)[1:])
     vertices = frozenset(v for v, d in zip(G.vertices, vdist) if d < r)
     on_edge = {}
     for p in A:

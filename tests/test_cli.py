@@ -5,6 +5,7 @@ import random
 import pytest
 
 import ghgraph as gg
+from ghgraph import graph as graph_mod
 from ghgraph.cli import _random_subset, main, parse_real
 
 import _brute
@@ -365,6 +366,37 @@ def test_experiment_different_seeds_differ(capsys, tmp_path):
     assert a != b
 
 
+@pytest.mark.parametrize("leaves", [True, False])
+def test_each_set_is_searched_once_per_request(capsys, tmp_path, seg_files, monkeypatch, leaves):
+    # a set keeps its distance field, so a request runs one graph search per
+    # set however many distances it reads from it
+    if leaves:
+        graph, x, y = seg_files
+    else:
+        graph = _write(tmp_path / "t.json", THETA_DOC)
+        x = _write(tmp_path / "tx.json", [{"vertex": "p"}, {"edge": "e2", "offset": 0.3}])
+        y = _write(tmp_path / "ty.json", [{"edge": "e1", "offset": 0.5}])
+    searches = []
+    kernel = graph_mod._distance_field
+
+    def counted(*args):
+        searches.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(graph_mod, "_distance_field", counted)
+    g = ["--graph", graph]
+    for argv, count in (
+        (["bound", *g, "--subset", x], 1),
+        (["bound", *g, "--subset", x, "--subset2", y], 2),
+        (["hausdorff", *g, "--subset", x, "--subset2", y], 2),
+        (["construct", "net", *g, "--epsilon", "0.25", "--out", str(tmp_path / "n")], 1),
+    ):
+        searches.clear()
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert len(searches) == count, argv
+
+
 # --------------------------------------------------------------------------
 # error handling
 
@@ -422,6 +454,13 @@ def test_exit_codes(capsys, tmp_path, seg_files):
     point = _write(tmp_path / "point.json", {"vertices": ["o"], "edges": []})
     assert main(["experiment", "ratio", "--graph", point]) == 3
     assert "at least one edge" in capsys.readouterr().err
+    # a density that is not positive, or gives no finite point count
+    for density in ("nan", "inf", "1e308", "-1", "0"):
+        assert main(["experiment", "ratio", "--graph", graph, "--density", density]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: density must be positive")
+        assert "Traceback" not in captured.err
 
 
 def test_construction_verification_exit_code(capsys, seg_files, tmp_path, monkeypatch):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 import _brute
 import ghgraph as gg
 from ghgraph import graph as graph_mod
-from ghgraph import hausdorff as hausdorff_mod
 
 TAU = 1e-9
 
@@ -381,9 +380,8 @@ def _multigraph_with_sets(draw):
     return G, A, B
 
 
-def _dense_field(G, fa):
+def _dense_field(G, a_idx, b_idx, off_a, off_b):
     # d(w, A) read off the all-pairs matrix: the vertex rows of the dense kernel
-    _, a_idx, b_idx, off_a, off_b = fa
     D = G.vertex_distances
     return np.minimum(D[:, a_idx] + off_a, D[:, b_idx] + off_b).min(axis=1)
 
@@ -404,17 +402,16 @@ def _set_queries(G, A, B):
 def test_distance_field_matches_dense_kernel(case):
     G, A, B = case
     verts = [gg.vertex_point(G, v) for v in G.vertices]
-    field = graph_mod._distance_field(G, graph_mod._fields(G, A))
+    field = A._distances
     assert field == pytest.approx(gg.pairwise_distances(G, verts, A).min(axis=1), rel=1e-12)
     P = gg.pairwise_distances(G, A, B)
     assert gg.directed_hausdorff_sets(G, A, B) == pytest.approx(P.min(axis=1).max(), rel=1e-12)
     assert gg.directed_hausdorff_sets(G, B, A) == pytest.approx(P.min(axis=0).max(), rel=1e-12)
     values, W = _set_queries(G, A, B)
-    # the same queries with every field read off the dense matrix instead
-    with mock.patch.object(graph_mod, "_distance_field", _dense_field), mock.patch.object(
-        hausdorff_mod, "_distance_field", _dense_field
-    ):
-        dense_values, dense_W = _set_queries(G, A, B)
+    # the same queries with every field read off the dense matrix instead, on
+    # fresh sets, since A and B keep the fields found above
+    with mock.patch.object(graph_mod, "_distance_field", _dense_field):
+        dense_values, dense_W = _set_queries(G, gg.point_set(G, A.points), gg.point_set(G, B.points))
     assert values == pytest.approx(dense_values, rel=1e-12)
     assert W.vertices == dense_W.vertices
     assert W.intervals.keys() == dense_W.intervals.keys()
@@ -443,3 +440,38 @@ def test_set_distances_leave_the_dense_matrix_unbuilt(multi):
     assert G._vertex_distances is None
     gg.pairwise_distances(G, A, B)
     assert G._vertex_distances is not None
+
+
+def test_kept_field_is_read_only(multi):
+    A = gg.point_set(multi, ["u", ("a", 1.0), ("self", 0.5)])
+    gg.hausdorff_graph_to_set(multi, A)
+    with pytest.raises(ValueError):
+        A._distances[0] = 1.0
+
+
+def test_set_measured_on_another_graph_reads_that_graph():
+    # the same ids with other lengths; the set keeps the first graph's
+    # field, which the second graph must not read
+    def triangle(la, lb, lc):
+        return gg.build_graph(
+            ["u", "v", "w", "x"], [("a", "u", "v", la), ("b", "v", "w", lb), ("c", "w", "u", lc), ("d", "w", "x", 1.0)]
+        )
+
+    def queries(G, A):
+        B = gg.point_set(G, [("a", 0.3), "x"])
+        return [
+            gg.hausdorff_graph_to_set(G, A),
+            gg.directed_hausdorff_boundary(G, A),
+            gg.hausdorff_sets(G, A, B),
+            gg.distance_to_set(G, gg.vertex_point(G, "v"), A),
+            gg.thickening(G, A, 0.3).intervals,
+        ]
+
+    G1, G2 = triangle(1.0, 2.0, 3.0), triangle(2.5, 0.5, 1.5)
+    specs = ["u", ("b", 0.4), ("c", 1.2)]
+    A1, A2 = gg.point_set(G1, specs), gg.point_set(G2, specs)
+    on_g1 = queries(G1, A1)
+    on_g2 = queries(G2, A1)
+    assert on_g2 == queries(G2, A2)
+    assert on_g2 != on_g1
+    assert queries(G1, A1) == on_g1

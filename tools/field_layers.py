@@ -16,6 +16,13 @@ size of the certify workload's middle family. Each time is the best, over
 ``--repeat`` rounds, of the mean of enough back-to-back calls to fill about
 20 ms.
 
+A point set keeps its distance field once it has been measured, so every
+timed call of the three layers that read a set's field gets fresh copies of
+the sets, built from their columns with no field kept
+(``PointSet._from_columns``); each call then runs its own graph search, as
+a request on new sets does, and the copy works on trees with and without
+the kept field alike.
+
 Each source tree runs in its own subprocess on the same inputs, so a parent
 checkout and this one can be compared side by side. The trees take turns
 over ``--passes`` passes, and each time printed is the least over them, so
@@ -68,12 +75,16 @@ def run(src: str, repeat: int) -> None:
         G = gg.build_graph(vertices, edges)
         A, B = gg.point_set(G, a), gg.point_set(G, b)
         T = gg.thickening(G, A, RADIUS)
+
+        def fresh(S):
+            return gg.PointSet._from_columns(G, S._edge, S._vertex, S._offset)
+
         calls = {
             "point_set": lambda: gg.point_set(G, a),
-            "hausdorff_graph_to_set": lambda: gg.hausdorff_graph_to_set(G, A),
-            "thickening": lambda: gg.thickening(G, A, RADIUS),
+            "hausdorff_graph_to_set": lambda: gg.hausdorff_graph_to_set(G, fresh(A)),
+            "thickening": lambda: gg.thickening(G, fresh(A), RADIUS),
             "hausdorff_graph_to_region": lambda: gg.hausdorff_graph_to_region(G, T),
-            "hausdorff_sets": lambda: gg.hausdorff_sets(G, A, B),
+            "hausdorff_sets": lambda: gg.hausdorff_sets(G, fresh(A), fresh(B)),
         }
         row = {"case": f"V={V} E={E} points={k}", "us": {}, "values": {}}
         for name in LAYERS:
