@@ -311,27 +311,19 @@ def _cmd_oracle(args: argparse.Namespace) -> dict:
 
 
 def _cmd_construct(args: argparse.Namespace) -> dict:
-    prefix = args.out or args.name
-    written: dict[str, str] = {}
-    report: dict = {"command": "construct", "name": args.name}
-
+    # each instance gives its files as (report key, file name suffix, document)
     if args.name == "star":
         if args.n is None:
             raise ParseError("construct star needs --n")
         T, X, Xc = star_counterexample(args.n)
-        written["graph"] = f"{prefix}-graph.json"
-        written["x"] = f"{prefix}-x.json"
-        written["x_centered"] = f"{prefix}-x-centered.json"
-        _write_json(written["graph"], _graph_doc(T))
-        _write_json(written["x"], _region_doc(X))
-        _write_json(written["x_centered"], _region_doc(Xc))
-        report["verification"] = {
-            "d_H_T_X": _tag(
-                "hausdorff_graph_to_region", hausdorff_graph_to_region(T, X)
-            ),
-            "d_H_T_X_centered": _tag(
-                "hausdorff_graph_to_region", hausdorff_graph_to_region(T, Xc)
-            ),
+        files = [
+            ("graph", "graph", _graph_doc(T)),
+            ("x", "x", _region_doc(X)),
+            ("x_centered", "x-centered", _region_doc(Xc)),
+        ]
+        verification = {
+            "d_H_T_X": _tag("hausdorff_graph_to_region", hausdorff_graph_to_region(T, X)),
+            "d_H_T_X_centered": _tag("hausdorff_graph_to_region", hausdorff_graph_to_region(T, Xc)),
         }
     elif args.name == "circle6":
         if args.epsilon is None:
@@ -339,26 +331,17 @@ def _cmd_construct(args: argparse.Namespace) -> dict:
         eps = parse_real(args.epsilon, "--epsilon")
         X, R = circle_six_point(eps)
         G = circle_graph()
-        written["graph"] = f"{prefix}-graph.json"
-        written["points"] = f"{prefix}-points.json"
-        written["correspondence"] = f"{prefix}-correspondence.json"
-        _write_json(written["graph"], _graph_doc(G, {"loop": "2pi"}))
-        _write_json(written["points"], _subset_doc(X))
-        _write_json(
-            written["correspondence"],
-            [
-                {"arc": [_sig12(lo), _sig12(hi)], "point": idx}
-                for (lo, hi), idx in R
-            ],
-        )
-        report["verification"] = {
+        arcs = [{"arc": [_sig12(lo), _sig12(hi)], "point": idx} for (lo, hi), idx in R]
+        files = [
+            ("graph", "graph", _graph_doc(G, {"loop": "2pi"})),
+            ("points", "points", _subset_doc(X)),
+            ("correspondence", "correspondence", arcs),
+        ]
+        verification = {
             "d_H": _tag("hausdorff_graph_to_set", hausdorff_graph_to_set(G, X)),
-            "distortion": _tag(
-                "arc_correspondence_distortion",
-                arc_correspondence_distortion(R, X, G),
-            ),
+            "distortion": _tag("arc_correspondence_distortion", arc_correspondence_distortion(R, X, G)),
         }
-    elif args.name == "net":
+    else:  # net
         if not args.graph:
             raise ParseError("construct net needs --graph")
         if args.epsilon is None:
@@ -366,16 +349,18 @@ def _cmd_construct(args: argparse.Namespace) -> dict:
         eps = parse_real(args.epsilon, "--epsilon")
         G = load_graph(args.graph)
         net = epsilon_net(G, eps)
-        written["subset"] = f"{prefix}-net.json"
-        _write_json(written["subset"], _subset_doc(net))
-        report["verification"] = {
+        files = [("subset", "net", _subset_doc(net))]
+        verification = {
             "d_H": _tag("hausdorff_graph_to_set", hausdorff_graph_to_set(G, net)),
             "epsilon": _tag("epsilon_net", eps),
             "points": len(net),
         }
-
-    report["files"] = written
-    return report
+    prefix = args.out or args.name
+    written = {}
+    for key, suffix, doc in files:
+        written[key] = f"{prefix}-{suffix}.json"
+        _write_json(written[key], doc)
+    return {"command": "construct", "name": args.name, "verification": verification, "files": written}
 
 
 def _random_subset(G: MetricGraph, rng: random.Random, npts: int) -> PointSet:
@@ -398,6 +383,8 @@ def _cmd_experiment(args: argparse.Namespace) -> dict:
     if not (args.density > 0.0 and math.isfinite(args.density * total_len)):
         raise ValidationError(f"density must be positive, with a finite point count, got {args.density}")
     npts = max(1, round(args.density * total_len))
+    if npts > args.guard:
+        raise GuardExceeded(f"experiment guard of {args.guard} points per subset exceeded: {npts:.3g} points")
     e_val = smallest_nonterminal_edge(G)
 
     rows = []
@@ -513,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--density", type=float, default=1.0, help="points per unit length")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--guard", type=int, default=2_000_000)
+    p.add_argument("--guard", type=int, default=2_000_000, help="oracle work guard; also caps the points per subset")
     p.add_argument("--out", help="also write the report here")
     p.set_defaults(fn=_cmd_experiment)
 

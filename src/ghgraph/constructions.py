@@ -141,12 +141,15 @@ def region_net(G: MetricGraph, W: EdgeIntervalSet, delta: float) -> PointSet:
     pts: list = sorted(W.vertices)
     for eid, ivs in sorted(W.intervals.items()):
         for lo, hi in ivs:
-            span = hi - lo
-            m = max(1, math.ceil(span / (2.0 * delta)))
-            step = span / m
-            for k in range(m + 1):
-                pts.append((eid, min(lo + k * step, hi)))
+            pts += _spaced(eid, lo, hi, delta)
     return point_set(G, pts)
+
+
+def _spaced(eid: str, lo: float, hi: float, eps: float) -> list[tuple[str, float]]:
+    """Points of edge eid across [lo, hi], both ends included, uniformly spaced at most 2*eps apart."""
+    m = max(1, math.ceil((hi - lo) / (2.0 * eps)))
+    step = (hi - lo) / m
+    return [(eid, min(lo + k * step, hi)) for k in range(m + 1)]
 
 
 # --------------------------------------------------------------------------
@@ -361,10 +364,7 @@ def epsilon_net(G: MetricGraph, eps: float) -> PointSet:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {eps}")
     pts: list = [v for v, k in zip(G.vertices, G.vertex_degree.tolist()) if k == 0]
     for eid, length in zip(G.edge_ids, G.edge_length.tolist()):
-        m = max(1, math.ceil(length / (2.0 * eps)))
-        step = length / m
-        for k in range(m + 1):
-            pts.append((eid, min(k * step, length)))
+        pts += _spaced(eid, 0.0, length, eps)
     net = point_set(G, pts)
     measured = hausdorff_graph_to_set(G, net)
     if measured > eps + TOLERANCE:

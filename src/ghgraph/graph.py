@@ -282,13 +282,7 @@ class PointSet:
     __slots__ = ("_graph", "_edge", "_vertex", "_offset", "_points", "_field")
 
     def __init__(self, points: Iterable[GraphPoint]):
-        seen: set[GraphPoint] = set()
-        kept: list[GraphPoint] = []
-        for p in points:
-            if p not in seen:
-                seen.add(p)
-                kept.append(p)
-        self._points: tuple[GraphPoint, ...] | None = tuple(kept)
+        self._points: tuple[GraphPoint, ...] | None = tuple(dict.fromkeys(points))
         self._graph = self._edge = self._vertex = self._offset = self._field = None
 
     @classmethod
@@ -370,101 +364,83 @@ def _location_order(key, offset, bound: int):
 
 def _columns(G: MetricGraph, specs: Iterable[GraphPoint | tuple | str]):
     """(edge, vertex, offset) columns of point specs, in input order, each
-    checked and snapped to a vertex as ``edge_point`` does; -2 marks an id
-    the graph lacks, or a spec of the wrong shape, until the check."""
+    checked and snapped to a vertex as ``edge_point`` does. A list that any
+    spec spoils, by an id the graph lacks (-2 in the columns), a shape or
+    offset the columns cannot hold, or a value the check rejects, is read
+    again one spec at a time, so the first bad spec raises."""
     specs = list(specs)
     vget, eget = G.vertex_index.get, G.edge_index.get
-    if specs and set(map(type, specs)) == {tuple} and set(map(len, specs)) == {2}:
-        # every spec an (edge_id, offset) tuple: one column per field, read
-        # by item getters (zip(*specs) would make one iterator per spec),
-        # and the per-spec rows below only when an offset does not convert
-        try:
+    try:
+        if specs and set(map(type, specs)) == {tuple} and set(map(len, specs)) == {2}:
+            # every spec an (edge_id, offset) tuple: one column per field,
+            # read by item getters (zip(*specs) would make one iterator per spec)
             offset = np.fromiter(map(itemgetter(1), specs), float, count=len(specs))
-        except (TypeError, ValueError, OverflowError):
-            pass
-        else:
             ids = map(itemgetter(0), specs)
             edge = np.fromiter(map(eget, ids, itertools.repeat(-2)), np.int64, count=len(specs))
-            edge, vertex, offset, bad = _snapped(G, edge, np.full(len(specs), -1), offset)
-            if bad is not None:
-                _raise_for_spec(G, specs[bad])
-            return edge, vertex, offset
-    rows = [
-        (eget(s[0], -2), -1, s[1]) if type(s) is tuple and len(s) == 2
-        else (-1, vget(s, -2), 0.0) if isinstance(s, str)
-        else _spec_row(vget, eget, s)
-        for s in specs
-    ]
-    flat = itertools.chain.from_iterable(rows)
-    try:
-        table = np.fromiter(flat, float, count=3 * len(rows)).reshape(-1, 3)
+            vertex = np.full(len(specs), -1)
+        else:
+            rows = [
+                (eget(s[0], -2), -1, s[1]) if type(s) is tuple and len(s) == 2
+                else (-1, vget(s, -2), 0.0) if isinstance(s, str)
+                else _spec_row(vget, eget, s)
+                for s in specs
+            ]
+            flat = itertools.chain.from_iterable(rows)
+            table = np.fromiter(flat, float, count=3 * len(rows)).reshape(-1, 3)
+            edge, vertex, offset = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
+        columns = _snapped(G, edge, vertex, offset)
     except (TypeError, ValueError, OverflowError):
-        # an offset float() rejects: NaN fails the check below, and
-        # edge_point then raises float()'s own error for it
-        table = np.array([(e, w, _float_or_nan(t)) for e, w, t in rows]).reshape(-1, 3)
-    edge, vertex, offset = table[:, 0].astype(np.int64), table[:, 1].astype(np.int64), table[:, 2]
-    edge, vertex, offset, bad = _snapped(G, edge, vertex, offset)
-    if bad is not None:
-        _raise_for_spec(G, specs[bad])
-    return edge, vertex, offset
+        columns = None
+    if columns is not None:
+        return columns
+    # the scalar constructors raise for the first bad spec in input order;
+    # when none is bad, the points they make all read as rows
+    return _columns(G, [_spec_point(G, s) for s in specs])
 
 
 def _spec_row(vget, eget, s):
     """The row of a ``GraphPoint`` or of an ``(edge_id, offset)`` sequence
-    other than a tuple; a spec of another shape gets -2."""
+    other than a tuple; a spec of another shape fails to unpack."""
     if isinstance(s, GraphPoint):
         if s.vertex is not None:
             return -1, vget(s.vertex, -2), 0.0
         return eget(s.edge, -2), -1, s.offset
-    try:
-        eid, off = s
-    except (TypeError, ValueError):
-        return -2, -1, 0.0
+    eid, off = s
     return eget(eid, -2), -1, off
-
-
-def _float_or_nan(x) -> float:
-    try:
-        return float(x)
-    except (TypeError, ValueError, OverflowError):
-        return math.nan
 
 
 def _snapped(G: MetricGraph, edge, vertex, offset):
     """Point columns with on-edge offsets within ``TOLERANCE`` of an end
-    made that end's vertex, as ``edge_point`` makes them, and the first row
-    that ``edge_point`` or ``vertex_point`` rejects (None if none): an
-    unknown id (-2), or an offset outside the edge or not finite."""
+    made that end's vertex, as ``edge_point`` makes them; None if some row
+    is one that ``edge_point`` or ``vertex_point`` rejects: an unknown id
+    (-2), or an offset outside the edge or not finite."""
     on = edge >= 0
     l = np.zeros(len(edge))
     l[on] = G.edge_length[edge[on]]
     bad = (edge == -2) | (vertex == -2)
     bad |= on & (~np.isfinite(offset) | (offset < -TOLERANCE) | (offset > l + TOLERANCE))
     if bad.any():
-        return edge, vertex, offset, int(np.argmax(bad))
+        return None
     at_u = on & (offset <= TOLERANCE)
     at_v = on & ~at_u & (offset >= l - TOLERANCE)
     vertex = vertex.copy()
     vertex[at_u], vertex[at_v] = G.edge_u[edge[at_u]], G.edge_v[edge[at_v]]
     edge = np.where(at_u | at_v, -1, edge)
-    return edge, vertex, np.where(edge >= 0, offset, 0.0), None
+    return edge, vertex, np.where(edge >= 0, offset, 0.0)
 
 
-def _raise_for_spec(G: MetricGraph, s) -> None:
-    """Raise what the scalar constructors raise for the rejected spec s."""
+def _spec_point(G: MetricGraph, s) -> GraphPoint:
+    """The point the scalar constructors make of spec s; they raise for a bad one."""
     if isinstance(s, GraphPoint):
         if s.vertex is not None:
-            vertex_point(G, s.vertex)
-        elif s.edge is None:
+            return vertex_point(G, s.vertex)
+        if s.edge is None:
             raise PointNotOnGraph("point has neither vertex nor edge")
-        else:
-            edge_point(G, s.edge, s.offset)
-    elif isinstance(s, str):
-        vertex_point(G, s)
-    else:
-        eid, off = s
-        edge_point(G, eid, off)
-    raise PointNotOnGraph(f"point spec {s!r} is not on the graph")
+        return edge_point(G, s.edge, s.offset)
+    if isinstance(s, str):
+        return vertex_point(G, s)
+    eid, off = s
+    return edge_point(G, eid, off)
 
 
 # --------------------------------------------------------------------------

@@ -3,13 +3,14 @@
 Every distance to a finite set starts from its distance field, the
 distance from each vertex to the set, given by one multi-source graph
 search and kept on the set; a point then leaves its edge through an
-endpoint or reaches the set along the edge. Distances from the whole graph (or from a region given
-by edge intervals) are suprema over the continuum: on each edge the
-distance to a finite source set is a lower envelope of functions that are
-affine with slopes +1 or -1, so the supremum sits at an endpoint or where
-an ascending piece crosses a descending one. Those crossings form a small
-closed-form candidate set per edge; the candidates of all edges are built
-and evaluated exactly in one array pass, and nothing is sampled.
+endpoint or reaches the set along the edge. Distances from the whole
+graph (or from a region given by edge intervals) are suprema over the
+continuum: on each edge the distance to a finite source set is a lower
+envelope of functions that are affine with slopes +1 or -1, so the
+supremum sits at an endpoint or where an ascending piece crosses a
+descending one. Those crossings form a small closed-form candidate set
+per edge; the candidates of all edges are built and evaluated exactly in
+one array pass, and nothing is sampled.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def _region_sources(G: MetricGraph, W: EdgeIntervalSet):
     edge = np.concatenate([np.full(nv, -1), W.edge, W.edge])
     vertex = np.concatenate([W.vertex, np.full(2 * len(W.edge), -1)])
     off = np.concatenate([np.zeros(nv), W.lo, W.hi])
-    edge, vertex, off, _ = _snapped(G, edge, vertex, off)
+    edge, vertex, off = _snapped(G, edge, vertex, off)
     return PointSet._from_columns(G, edge, vertex, off), (W.edge, W.lo, W.hi)
 
 

@@ -175,8 +175,14 @@ def distortion(R, X: FiniteMetricSpace, Y: FiniteMetricSpace) -> float:
         raise NotACorrespondence("relation references out-of-range indices")
     if len(set(xs)) != X.n or len(set(ys)) != Y.n:
         raise NotACorrespondence("relation does not cover both spaces")
-    sub = np.abs(X.d[np.ix_(xs, xs)] - Y.d[np.ix_(ys, ys)])
-    return float(sub.max())
+    return _gap_max(X.d, Y.d, xs, ys)
+
+
+def _gap_max(DX: np.ndarray, DY: np.ndarray, xs, ys) -> float:
+    """The largest |DX[x, x'] - DY[y, y']| over the related pairs (xs[i], ys[i]),
+    read over the full matrix: kept matrices are exactly symmetric with zero
+    diagonals, so its upper triangle alone holds the same largest gap."""
+    return float(np.abs(DX[np.ix_(xs, xs)] - DY[np.ix_(ys, ys)]).max())
 
 
 # --------------------------------------------------------------------------
@@ -264,7 +270,6 @@ def _search(X: FiniteMetricSpace, Y: FiniteMetricSpace, guard: int) -> tuple[flo
     path = [0] * depth
     # dead ends caused per variable: the branching rule divides candidates by it
     weight = [1] * depth
-    upper = np.triu_indices(depth, 1)
     nodes = 0
 
     def guard_tripped() -> GuardExceeded:
@@ -275,8 +280,7 @@ def _search(X: FiniteMetricSpace, Y: FiniteMetricSpace, guard: int) -> tuple[flo
         )
 
     def path_distortion() -> float:
-        xs, ys = np.divmod(np.array(path), m)
-        return float(np.abs(DX[np.ix_(xs, xs)] - DY[np.ix_(ys, ys)])[upper].max())
+        return _gap_max(DX, DY, *np.divmod(np.array(path), m))
 
     # The least distortion lies in [lo, hi]: lo is proven, hi is the
     # distortion of the map pair on the path ``best``. lo starts at the

@@ -337,10 +337,12 @@ def test_experiment_ratio_deterministic(capsys, tmp_path):
 
 def test_experiment_guard_keeps_bracket(capsys, tmp_path):
     # a tripped oracle guard reports the [floor, incumbent] the search had
-    # reached, and that bracket holds the value an unguarded run finds
+    # reached, and that bracket holds the value an unguarded run finds; the
+    # guard also caps the points per subset, so it is the 4 points drawn
+    # here, fewer than the 8 assignments any complete map pair needs
     graph = _write(tmp_path / "t.json", THETA_DOC)
     argv = ["experiment", "ratio", "--graph", graph, "--samples", "3", "--density", "1.0", "--seed", "7"]
-    code, guarded = _run(capsys, argv + ["--guard", "1"])
+    code, guarded = _run(capsys, argv + ["--guard", "4"])
     assert code == 0
     code, full = _run(capsys, argv)
     assert code == 0
@@ -461,6 +463,15 @@ def test_exit_codes(capsys, tmp_path, seg_files):
         assert captured.out == ""
         assert captured.err.startswith("error: density must be positive")
         assert "Traceback" not in captured.err
+    # the guard caps the points per subset before any is drawn: the 2e300
+    # points of a 1e300 density are only counted
+    for density, guard, code in (("1e300", [], 4), ("5", ["--guard", "10"], 0), ("5.5", ["--guard", "10"], 4)):
+        argv = ["experiment", "ratio", "--graph", graph, "--samples", "1", "--density", density, *guard]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 4:
+            assert captured.out == ""
+            assert captured.err.startswith("error: experiment guard of") and captured.err.count("\n") == 1
 
 
 def test_construction_verification_exit_code(capsys, seg_files, tmp_path, monkeypatch):

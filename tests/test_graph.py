@@ -650,10 +650,11 @@ _BAD_SPECS = [
     ("a", [0.5]),
     ("a",),
     ("a", 0.5, 1.0),
+    ([1], 0.5),
 ]
 _BAD_IDS = [
     "edge-id", "vertex-id", "nan", "inf", "-inf", "below-0", "above-l", "no-location",
-    "offset-text", "offset-none", "offset-list", "one-field", "three-fields",
+    "offset-text", "offset-none", "offset-list", "one-field", "three-fields", "unhashable-id",
 ]
 
 
@@ -666,20 +667,32 @@ def _check_point_set_error(G, good, bad, where, later):
     assert _error(lambda: gg.point_set(G, specs)) == expected
 
 
-@pytest.mark.parametrize("where", ["start", "middle", "end"])
-@pytest.mark.parametrize("bad", _BAD_SPECS, ids=_BAD_IDS)
-def test_point_set_errors_match_scalar_reference(multi, bad, where):
-    # mixed spec kinds, and a later spec whose offset is no number
-    _check_point_set_error(multi, _GOOD_SPECS, bad, where, ("a", "later"))
+def _where_and_later(later):
+    """(where, later) cases: each place with the given later spec, under the
+    plain place ids, then with a later spec whose id cannot be looked up."""
+    return [
+        pytest.param(where, spec, id=where + suffix)
+        for spec, suffix in ((later, ""), (([1], 0.5), "-later-unhashable"))
+        for where in ("start", "middle", "end")
+    ]
 
 
-@pytest.mark.parametrize("where", ["start", "middle", "end"])
+@pytest.mark.parametrize(("where", "later"), _where_and_later(("a", "later")))
 @pytest.mark.parametrize("bad", _BAD_SPECS, ids=_BAD_IDS)
-def test_point_set_errors_on_tuple_specs_match_scalar_reference(multi, bad, where):
+def test_point_set_errors_match_scalar_reference(multi, bad, where, later):
+    # mixed spec kinds, and a later spec whose offset is no number or whose
+    # id cannot be looked up
+    _check_point_set_error(multi, _GOOD_SPECS, bad, where, later)
+
+
+@pytest.mark.parametrize(("where", "later"), _where_and_later(("spur", 0.5 + 2 * _TOL)))
+@pytest.mark.parametrize("bad", _BAD_SPECS, ids=_BAD_IDS)
+def test_point_set_errors_on_tuple_specs_match_scalar_reference(multi, bad, where, later):
     # only (edge, offset) tuples around the bad spec, and a later one off its
-    # edge, so every bad spec that is such a tuple takes the column path
+    # edge or with an unhashable id, so every bad spec that is such a tuple
+    # takes the column path
     good = [("a", 1.0), ("self", 0.5), ("b", 0.0), ("spur", 0.25), ("a", 3.0)]
-    _check_point_set_error(multi, good, bad, where, ("spur", 0.5 + 2 * _TOL))
+    _check_point_set_error(multi, good, bad, where, later)
 
 
 def _multi_without_self_loop():
