@@ -35,6 +35,7 @@ import numpy as np
 
 from .bounds import BoundCertificate, best_bound
 from .constructions import (
+    POINT_GUARD,
     arc_correspondence_distortion,
     circle_graph,
     circle_six_point,
@@ -500,7 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--density", type=float, default=1.0, help="points per unit length")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--guard", type=int, default=2_000_000, help="oracle work guard; also caps the points per subset")
+    p.add_argument("--guard", type=int, default=POINT_GUARD, help="oracle work guard; also caps the points per subset")
     p.add_argument("--out", help="also write the report here")
     p.set_defaults(fn=_cmd_experiment)
 

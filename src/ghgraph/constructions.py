@@ -23,6 +23,7 @@ from typing import Sequence
 from .errors import (
     ConstructionVerificationFailed,
     EpsilonOutOfRange,
+    GuardExceeded,
     NonPositiveEpsilon,
     NotACorrespondence,
     PointNotOnGraph,
@@ -55,6 +56,10 @@ __all__ = [
     "grid_coordinates",
     "grid_interval",
 ]
+
+# The most points a net, or rays a star, is built with; checked before
+# anything is allocated.
+POINT_GUARD = 2_000_000
 
 # --------------------------------------------------------------------------
 # small graph builders
@@ -108,6 +113,8 @@ def star_counterexample(
     """
     if not isinstance(n, int) or n < 2:
         raise ValidationError(f"star counterexample needs an integer n >= 2, got {n}")
+    if n > POINT_GUARD:
+        raise GuardExceeded(f"star guard of {POINT_GUARD} rays exceeded: {n} rays")
     lengths = [1.0 + t / n for t in range(1, n + 1)]
     T = star_graph(lengths)
 
@@ -139,15 +146,29 @@ def region_net(G: MetricGraph, W: EdgeIntervalSet, delta: float) -> PointSet:
     if not delta > 0.0:
         raise NonPositiveEpsilon(f"delta must be positive, got {delta}")
     pts: list = sorted(W.vertices)
-    for eid, ivs in sorted(W.intervals.items()):
-        for lo, hi in ivs:
-            pts += _spaced(eid, lo, hi, delta)
+    spans = [(eid, lo, hi) for eid, ivs in sorted(W.intervals.items()) for lo, hi in ivs]
+    for (eid, lo, hi), m in zip(spans, _steps([hi - lo for _, lo, hi in spans], delta, len(pts))):
+        pts += _spaced(eid, lo, hi, m)
     return point_set(G, pts)
 
 
-def _spaced(eid: str, lo: float, hi: float, eps: float) -> list[tuple[str, float]]:
-    """Points of edge eid across [lo, hi], both ends included, uniformly spaced at most 2*eps apart."""
-    m = max(1, math.ceil((hi - lo) / (2.0 * eps)))
+def _steps(spans: list[float], eps: float, fixed: int) -> list[int]:
+    """Steps of at most 2*eps across each span, at least one. Raises
+    GuardExceeded when a net with every step end and ``fixed`` more points
+    would exceed POINT_GUARD points."""
+    ratios = [span / (2.0 * eps) for span in spans]
+    if max(ratios, default=0.0) < POINT_GUARD:
+        steps = [max(1, math.ceil(r)) for r in ratios]
+        count = fixed + sum(steps) + len(steps)
+    else:  # one span alone exceeds the guard; the ratio may be too big to round
+        steps, count = [], fixed + sum(ratios) + len(ratios)
+    if count > POINT_GUARD:
+        raise GuardExceeded(f"net guard of {POINT_GUARD} points exceeded: {count:.3g} points")
+    return steps
+
+
+def _spaced(eid: str, lo: float, hi: float, m: int) -> list[tuple[str, float]]:
+    """Points of edge eid across [lo, hi], both ends included, m uniform steps apart."""
     step = (hi - lo) / m
     return [(eid, min(lo + k * step, hi)) for k in range(m + 1)]
 
@@ -363,8 +384,9 @@ def epsilon_net(G: MetricGraph, eps: float) -> PointSet:
     if not eps > 0.0:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {eps}")
     pts: list = [v for v, k in zip(G.vertices, G.vertex_degree.tolist()) if k == 0]
-    for eid, length in zip(G.edge_ids, G.edge_length.tolist()):
-        pts += _spaced(eid, 0.0, length, eps)
+    lengths = G.edge_length.tolist()
+    for eid, length, m in zip(G.edge_ids, lengths, _steps(lengths, eps, len(pts))):
+        pts += _spaced(eid, 0.0, length, m)
     net = point_set(G, pts)
     measured = hausdorff_graph_to_set(G, net)
     if measured > eps + TOLERANCE:

@@ -101,7 +101,7 @@ class ParseError(GhGraphError):
 
 
 class GuardExceeded(GhGraphError):
-    """An exhaustive search hit its configured work limit.
+    """An exhaustive search or a construction hit its work limit.
 
     ``bracket`` is (lower, upper) when the search knew bounds on its answer
     at the point it stopped, else None.

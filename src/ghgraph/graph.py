@@ -15,6 +15,7 @@ All comparisons against stated hypotheses use the global ``TOLERANCE``.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -22,8 +23,6 @@ from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, dijkstra
 
 from .errors import (
     DisconnectedGraph,
@@ -38,6 +37,10 @@ from .errors import (
 )
 
 TOLERANCE = 1e-9
+
+# Vertex searches on a graph of at most this many vertices run in Python
+# and numpy; on a larger one, scipy runs them and is imported then.
+_SMALL_GRAPH = 64
 
 __all__ = [
     "TOLERANCE",
@@ -85,14 +88,15 @@ class MetricGraph:
     """A compact connected metric graph, stored as columns.
 
     Instances are built only through :func:`build_graph`, which validates the
-    input on arrays and keeps the sparse vertex skeleton that distance
-    searches run on. ``edge_ids`` holds the ids in edge order, ``edge_index``
-    maps an id to its position, and ``edge_u``, ``edge_v`` (vertex indices of
-    the endpoints), ``edge_length`` and ``vertex_degree`` (a self-loop counts
-    twice) are read-only arrays in edge and vertex order. ``edges`` is a tuple
-    of :class:`Edge` views built on first access; ``edge(id)`` builds one. The
-    dense matrix ``vertex_distances`` is built on first use and cached; only
-    point-pair queries and the continuum diameter read it.
+    input on arrays and keeps the vertex skeleton that distance searches run
+    on as plain CSR arrays (indptr, indices, data). ``edge_ids`` holds the
+    ids in edge order, ``edge_index`` maps an id to its position, and
+    ``edge_u``, ``edge_v`` (vertex indices of the endpoints), ``edge_length``
+    and ``vertex_degree`` (a self-loop counts twice) are read-only arrays in
+    edge and vertex order. ``edges`` is a tuple of :class:`Edge` views built
+    on first access; ``edge(id)`` builds one. The dense matrix
+    ``vertex_distances`` is built on first use and cached; only point-pair
+    queries and the continuum diameter read it.
     """
 
     __slots__ = (
@@ -113,7 +117,8 @@ class MetricGraph:
     def vertex_distances(self) -> np.ndarray:
         """All-pairs vertex distances, computed on first access."""
         if self._vertex_distances is None:
-            self._vertex_distances = dijkstra(self._skeleton, directed=True)
+            small = len(self.vertices) <= _SMALL_GRAPH
+            self._vertex_distances = (_relaxed_distances if small else _sparse_distances)(self._skeleton)
         return self._vertex_distances
 
     @property
@@ -173,10 +178,12 @@ def build_graph(
     if len(eindex) < E or (u < 0).any() or (v < 0).any() or not (np.isfinite(lengths) & (lengths > 0.0)).all():
         _raise_for_edges(vindex, edges)
 
+    if _component_count(len(vs), u, v) > 1:
+        raise DisconnectedGraph("graph is not connected")
+
     # Self-loops never shorten vertex-to-vertex paths; between distinct
     # vertices only the shortest parallel edge matters. Each pair is stored
-    # once per direction, so searches run directed and never transpose, and
-    # strong connectivity is plain connectivity.
+    # once per direction, so searches run directed and never transpose.
     link = u != v
     a, b, w = np.concatenate([u[link], v[link]]), np.concatenate([v[link], u[link]]), np.tile(lengths[link], 2)
     order = np.lexsort((w, b, a))
@@ -184,14 +191,12 @@ def build_graph(
     first = np.ones(len(a), dtype=bool)
     first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
     indptr = np.concatenate([[0], np.cumsum(np.bincount(a[first], minlength=len(vs)))])
-    skeleton = csr_matrix((w[first], b[first], indptr), shape=(len(vs),) * 2)
-    if connected_components(skeleton, connection="strong", return_labels=False) > 1:
-        raise DisconnectedGraph("graph is not connected")
+    skeleton = (indptr, b[first], w[first])
     G = MetricGraph.__new__(MetricGraph)
     G.vertices, G.vertex_index, G.edge_ids, G.edge_index = vs, vindex, ids, eindex
     G.edge_u, G.edge_v, G.edge_length = u, v, lengths
     G.vertex_degree = np.bincount(u, minlength=len(vs)) + np.bincount(v, minlength=len(vs))
-    for a in (u, v, lengths, G.vertex_degree):
+    for a in (u, v, lengths, G.vertex_degree, *skeleton):
         a.flags.writeable = False
     G._edges, G._skeleton, G._vertex_distances = None, skeleton, None
     return G
@@ -214,6 +219,79 @@ def _raise_for_edges(vindex: dict[str, int], edges: list) -> None:
         if not math.isfinite(length) or length <= 0.0:
             raise NonPositiveEdgeLength(f"edge {eid!r} has length {length}")
     raise ValidationError("edge list rejected")
+
+
+# Vertex searches. A graph on at most _SMALL_GRAPH vertices is searched in
+# Python and numpy, a larger one by scipy. Lengths are positive and float
+# addition rounds monotonically, so every correct label-correcting search
+# ends at the least left-to-right sum of lengths over paths, and the two
+# paths agree bit for bit.
+
+
+def _component_count(n: int, a, b) -> int:
+    """Connected components of the graph on nodes 0..n-1 with links a[i]-b[i]."""
+    if n > _SMALL_GRAPH:
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import connected_components
+
+        adj = csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+        return connected_components(adj, directed=False, return_labels=False)
+    root = list(range(n))
+    count = n
+    for x, y in zip(a.tolist(), b.tolist()):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        while root[y] != y:
+            root[y] = y = root[root[y]]
+        if x != y:
+            root[x] = y
+            count -= 1
+    return count
+
+
+def _csr(indptr, indices, data):
+    """CSR arrays as a scipy matrix, square with a row per indptr step."""
+    from scipy.sparse import csr_matrix
+
+    n = len(indptr) - 1
+    return csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def _relaxed_distances(skeleton) -> np.ndarray:
+    """All-pairs vertex distances by relaxing from every source at once.
+
+    Row w of the table X holds d(s, w) for every source s; each round
+    lowers it to X[w'] + l over the skeleton links w' -> w of length l,
+    until no entry falls. The links are read from a table of each vertex's
+    k-th link, padded with infinite lengths, unless padding would more than
+    double them (a star's centre); then the rows are reduced link list by
+    link list.
+    """
+    indptr, indices, data = skeleton
+    n, deg = len(indptr) - 1, np.diff(indptr)
+    K = deg.max(initial=0)
+    X = np.full((n, n), np.inf)
+    np.fill_diagonal(X, 0.0)
+    if K * n <= 2 * len(indices):
+        row = np.repeat(np.arange(n), deg)
+        col = np.arange(len(indices)) - indptr[row]
+        nbr = np.zeros((K, n), dtype=np.int64)
+        nbr[col, row] = indices
+        length = np.full(nbr.shape + (1,), np.inf)
+        length[col, row, 0] = data
+        lower = lambda: (X[nbr] + length).min(axis=0, initial=np.inf)
+    else:  # every vertex has a link: a graph with one vertex pads nothing
+        lower = lambda: np.minimum.reduceat(X[indices] + data[:, None], indptr[:-1], axis=0)
+    while ((low := lower()) < X).any():
+        np.minimum(X, low, out=X)
+    return np.ascontiguousarray(X.T)
+
+
+def _sparse_distances(skeleton) -> np.ndarray:
+    """All-pairs vertex distances by scipy's Dijkstra search."""
+    from scipy.sparse.csgraph import dijkstra
+
+    return dijkstra(_csr(*skeleton), directed=True)
 
 
 # --------------------------------------------------------------------------
@@ -502,11 +580,9 @@ def point_distance(G: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
 
 
 # A whole set A is reached through its distance field d(w, A) over the
-# vertices w, from one multi-source Dijkstra. The interior members of A
-# share one virtual source row, linked one way to each endpoint x of their
-# edges with the shortest walk along those edges from A to x (the shorter
-# arc on a self-loop), so no pair is stored twice and the row is never a
-# transit node. Vertex members are sources themselves; no link weighs zero.
+# vertices w, from one multi-source Dijkstra. Each endpoint x of an edge
+# holding members of A starts at the shortest walk along those edges from A
+# to x (the shorter arc on a self-loop); vertex members start at 0.
 # A point at offset s on e = (u, v, l) then has
 #   d(s, A) = min( s + d(u, A),  (l - s) + d(v, A),  min_t |s - t| )
 # over A's offsets t on e: a geodesic leaves e at an endpoint or stays on e.
@@ -514,14 +590,43 @@ def point_distance(G: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
 
 def _distance_field(G: MetricGraph, a_idx, b_idx, off_a, off_b) -> np.ndarray:
     """d(w, A) for every vertex w, from the anchors of A and the offsets to them."""
-    n, S = len(G.vertices), G._skeleton
+    n = len(G.vertices)
     walk = np.full(n, np.inf)
     np.minimum.at(walk, a_idx, off_a)
     np.minimum.at(walk, b_idx, off_b)
+    return (_heap_field if n <= _SMALL_GRAPH else _sparse_field)(G._skeleton, walk)
+
+
+def _heap_field(skeleton, walk) -> np.ndarray:
+    """The search from every vertex w at its start walk[w], on a heap."""
+    indptr, indices, data = (c.tolist() for c in skeleton)
+    dist = walk.tolist()
+    heap = [(d, w) for w, d in enumerate(dist) if d < math.inf]
+    heapq.heapify(heap)
+    while heap:
+        d, x = heapq.heappop(heap)
+        if d > dist[x]:
+            continue
+        for k in range(indptr[x], indptr[x + 1]):
+            y, dy = indices[k], d + data[k]
+            if dy < dist[y]:
+                dist[y] = dy
+                heapq.heappush(heap, (dy, y))
+    return np.array(dist)
+
+
+def _sparse_field(skeleton, walk) -> np.ndarray:
+    """The same search by scipy. The vertices that start above 0 are linked
+    one way from one virtual source row, at their start values, so the row
+    is never a transit node; the vertices at 0 are sources themselves."""
+    from scipy.sparse.csgraph import dijkstra
+
+    indptr, indices, data = skeleton
+    n = len(walk)
     ends = np.flatnonzero((walk > 0.0) & (walk < np.inf))
-    data = np.concatenate([S.data, walk[ends]])
-    indices = np.concatenate([S.indices, ends])
-    M = csr_matrix((data, indices, np.append(S.indptr, len(data))), shape=(n + 1, n + 1))
+    M = _csr(
+        np.append(indptr, len(data) + len(ends)), np.concatenate([indices, ends]), np.concatenate([data, walk[ends]])
+    )
     sources = np.append(np.flatnonzero(walk == 0.0), n)
     return dijkstra(M, directed=True, indices=sources, min_only=True)[:n]
 
@@ -760,7 +865,7 @@ def enumerate_simple_loops(G: MetricGraph, max_loops: int = 10000) -> tuple[Simp
     # vertex-simple cycles on >= 3 vertices over the skeleton, whose rows
     # list each neighbour once, expanded over every choice of parallel edge
     # per hop; the search order is free, since the loops are sorted at the end
-    S = G._skeleton
+    indptr, indices, _ = G._skeleton
 
     def expand_cycle(cycle: list[int]) -> None:
         hops = [
@@ -775,7 +880,7 @@ def enumerate_simple_loops(G: MetricGraph, max_loops: int = 10000) -> tuple[Simp
         while stack:
             path, used = stack.pop()
             last = path[-1]
-            for nxt in S.indices[S.indptr[last] : S.indptr[last + 1]].tolist():
+            for nxt in indices[indptr[last] : indptr[last + 1]].tolist():
                 if nxt == start and len(path) >= 3:
                     if path[1] < path[-1]:  # one orientation per cycle
                         expand_cycle(path)
@@ -918,13 +1023,14 @@ def region_is_connected(G: MetricGraph, W: EdgeIntervalSet) -> bool:
     """
     if W._graph is not G:
         W = region(G, W.intervals, W.vertices)
-    nv, k = len(W.vertex), len(W.edge)
+    # an interval that reaches none of its ends' vertices is a component of
+    # its own, one that reaches one end joins that vertex's component, and
+    # one that reaches both links them
+    nv = len(W.vertex)
     node = np.full(len(G.vertices), -1)
     node[W.vertex] = np.arange(nv)
     a, b = node[G.edge_u[W.edge]], node[G.edge_v[W.edge]]
     at_u = (W.lo == 0.0) & (a >= 0)
     at_v = (W.hi == G.edge_length[W.edge]) & (b >= 0)
-    iv = nv + np.arange(k)
-    links = (np.concatenate([iv[at_u], iv[at_v]]), np.concatenate([a[at_u], b[at_v]]))
-    adj = csr_matrix((np.ones(len(links[0])), links), shape=(nv + k, nv + k))
-    return connected_components(adj, directed=False, return_labels=False) <= 1
+    both = at_u & at_v
+    return np.count_nonzero(~(at_u | at_v)) + _component_count(nv, a[both], b[both]) <= 1

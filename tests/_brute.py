@@ -77,8 +77,8 @@ def build_graph(vertices, edges):
         if i != j and length < nbrs[i].get(j, np.inf):
             nbrs[i][j] = nbrs[j][i] = length
     indptr = np.cumsum([0] + [len(row) for row in nbrs])
-    indices = [j for row in nbrs for j in row]
-    data = [w for row in nbrs for w in row.values()]
+    indices = [j for row in nbrs for j in sorted(row)]
+    data = [row[j] for row in nbrs for j in sorted(row)]
     skeleton = csr_matrix((data, indices, indptr), shape=(len(vs),) * 2)
     if connected_components(skeleton, connection="strong", return_labels=False) > 1:
         raise gg.DisconnectedGraph("graph is not connected")

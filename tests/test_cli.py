@@ -1,6 +1,11 @@
 import json
 import math
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -472,6 +477,91 @@ def test_exit_codes(capsys, tmp_path, seg_files):
         if code == 4:
             assert captured.out == ""
             assert captured.err.startswith("error: experiment guard of") and captured.err.count("\n") == 1
+
+
+def _fresh_process(code, cwd, preexec_fn=None):
+    """Run python code in a new interpreter on this checkout's package."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=preexec_fn,
+    )
+
+
+@pytest.mark.parametrize(
+    "case", ["import", "hausdorff", "bound-one-subset", "bound-two-subsets", "oracle", "construct-net", "large-graph"]
+)
+def test_scipy_is_imported_for_large_graphs_only(seg_files, tmp_path, case):
+    # every vertex search on the small fixtures runs without scipy; on a
+    # path with one vertex more than the small-graph limit, scipy runs them
+    graph, ends, mid = seg_files
+    n = graph_mod._SMALL_GRAPH + 1
+    path = {
+        "vertices": [f"v{i}" for i in range(n)],
+        "edges": [{"id": f"e{i}", "u": f"v{i}", "v": f"v{i + 1}", "length": 1.0} for i in range(n - 1)],
+    }
+    argv = {
+        "import": None,
+        "hausdorff": ["hausdorff", "--graph", graph, "--subset", ends],
+        "bound-one-subset": ["bound", "--graph", graph, "--subset", ends],
+        "bound-two-subsets": ["bound", "--graph", graph, "--subset", ends, "--subset2", mid],
+        "oracle": ["oracle", "--graph", graph, "--subset", ends, "--subset2", mid],
+        "construct-net": ["construct", "net", "--graph", graph, "--epsilon", "0.25", "--out", "n"],
+        "large-graph": [
+            "hausdorff", "--graph", _write(tmp_path / "path.json", path),
+            "--subset", _write(tmp_path / "v0.json", [{"vertex": "v0"}]),
+        ],
+    }[case]
+    code = "import sys, ghgraph, ghgraph.cli\n"
+    if argv is not None:
+        code += f"assert ghgraph.cli.main({argv!r}) == 0\n"
+    code += "print('scipy' in sys.modules)"
+    done = _fresh_process(code, tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == str(case == "large-graph")
+
+
+def _cap_address_space():
+    # a construction that allocates before its guard runs fails fast here
+    # with a MemoryError instead of taking the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "net", "--graph", "g.json", "--epsilon", "1e-300", "--out", "n"],
+        ["construct", "net", "--graph", "g.json", "--epsilon", "1e-320", "--out", "n"],
+        ["construct", "star", "--n", "1000000000", "--out", "s"],
+    ],
+    ids=["net-1e300-points", "net-past-float-range", "star-1e9-rays"],
+)
+def test_construct_guard_exits_before_allocating(seg_files, tmp_path, argv):
+    before = set(tmp_path.iterdir())
+    code = f"import sys; from ghgraph.cli import main; sys.exit(main({argv!r}))"
+    done = _fresh_process(code, tmp_path, _cap_address_space)
+    assert done.returncode == 4, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and " guard of 2000000 " in done.stderr
+    assert done.stderr.count("\n") == 1
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_construct_guard_counts_every_point(monkeypatch):
+    # a segment of length 2 at epsilon 1/8 takes 8 steps, so 9 points
+    assert gg.constructions.POINT_GUARD == 2_000_000
+    G = gg.segment_graph(0.0, 2.0)
+    monkeypatch.setattr(gg.constructions, "POINT_GUARD", 9)
+    assert len(gg.epsilon_net(G, 0.125)) == 9
+    assert len(gg.star_counterexample(9)[0].edge_ids) == 9
+    monkeypatch.setattr(gg.constructions, "POINT_GUARD", 8)
+    with pytest.raises(gg.GuardExceeded, match="exceeded: 9 points"):
+        gg.epsilon_net(G, 0.125)
+    # the region's two vertices are counted too, before repeats are dropped
+    with pytest.raises(gg.GuardExceeded, match="exceeded: 11 points"):
+        gg.region_net(G, gg.whole_graph_region(G), 0.125)
+    with pytest.raises(gg.GuardExceeded, match="exceeded: 9 rays"):
+        gg.star_counterexample(9)
 
 
 def test_construction_verification_exit_code(capsys, seg_files, tmp_path, monkeypatch):

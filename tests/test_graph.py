@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _brute
@@ -62,7 +62,7 @@ def _edge_lists(draw):
     ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, V)]
     ends += draw(st.lists(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)), max_size=8))
     ends = draw(st.permutations(ends))
-    length = st.sampled_from([0.5, 1.0, 2.5]) | st.floats(0.01, 10.0)
+    length = st.sampled_from([0.5, 1.0, 2.5, 0.1, 0.3, math.pi / 7]) | st.floats(0.01, 10.0)
     edges = [
         (k if draw(st.booleans()) else f"e{k}", names[a], names[b], draw(length))
         for k, (a, b) in enumerate(ends)
@@ -75,14 +75,48 @@ def _edge_lists(draw):
 def test_build_graph_matches_scalar_reference(graph):
     vertices, edges = graph
     G, ref = gg.build_graph(vertices, edges), _brute.build_graph(vertices, edges)
+    # the small-graph relaxation against scipy's Dijkstra, called on both skeletons
     assert np.array_equal(G.vertex_distances, ref.vertex_distances)
-    assert (G._skeleton != ref.skeleton).nnz == 0
+    assert np.array_equal(graph_mod._sparse_distances(G._skeleton), ref.vertex_distances)
+    for column, ref_column in zip(G._skeleton, (ref.skeleton.indptr, ref.skeleton.indices, ref.skeleton.data)):
+        assert np.array_equal(column, ref_column)
     assert G.vertices == ref.vertices and G.vertex_index == ref.vertex_index
     assert G.edge_ids == tuple(e.id for e in ref.edges) and G.edge_index == ref.edge_index
     for name in ("edge_u", "edge_v", "edge_length", "vertex_degree"):
         assert np.array_equal(getattr(G, name), getattr(ref, name))
     assert G.edges == ref.edges
     assert [G.edge(e.id) for e in ref.edges] == list(ref.edges)
+
+
+@st.composite
+def _any_edge_lists(draw):
+    """Vertices and edges with free endpoints, so often disconnected, and
+    lengths from a few that tie."""
+    V = draw(st.integers(1, 12))
+    ends = draw(st.lists(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)), max_size=16))
+    length = st.sampled_from([0.1, 0.3, math.pi / 7, 1e-9, 1e9])
+    return [f"v{i}" for i in range(V)], [(f"e{k}", f"v{a}", f"v{b}", draw(length)) for k, (a, b) in enumerate(ends)]
+
+
+_STAR = (["o", *"abcdefgh"], [(f"r{k}", "o", w, 0.3) for k, w in enumerate("abcdefgh")])
+_PATH = (list("abcdefgh"), [(f"e{k}", u, w, math.pi / 7) for k, (u, w) in enumerate(zip("abcdefg", "bcdefgh"))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_edge_lists())
+@example(_STAR)  # the relaxation reduces a star link list by link list
+@example(_PATH)  # and a path from a padded table
+@example((["o"], []))
+def test_build_graph_decides_alike_on_both_paths(graph):
+    # the same graph or the same error, on the small-graph path and on scipy's
+    vertices, edges = graph
+    small = _error(lambda: gg.build_graph(vertices, edges))
+    with mock.patch.object(graph_mod, "_SMALL_GRAPH", 0):
+        large = _error(lambda: gg.build_graph(vertices, edges))
+    assert small == large == _error(lambda: _brute.build_graph(vertices, edges))
+    if small is None:
+        S = gg.build_graph(vertices, edges)._skeleton
+        assert np.array_equal(graph_mod._relaxed_distances(S), graph_mod._sparse_distances(S))
 
 
 _GOOD_EDGES = [(f"e{k}", "abcdef"[k % 6], "abcdef"[(k + 1) % 6], 0.5 + k % 4) for k in range(40)]
@@ -631,6 +665,8 @@ def test_point_set_and_thickening_match_scalar_reference(case):
     assert W.vertices == W_ref.vertices
     assert gg.hausdorff_graph_to_region(G, W) == _brute.hausdorff_graph_to_region(G, W_ref)
     assert gg.region_is_connected(G, W) == _brute.region_is_connected(G, W_ref)
+    with mock.patch.object(graph_mod, "_SMALL_GRAPH", 0):
+        assert gg.region_is_connected(G, W) == _brute.region_is_connected(G, W_ref)
 
 
 _GOOD_SPECS = ["u", ("a", 1.0), gg.GraphPoint(vertex="w"), gg.GraphPoint(edge="self", offset=0.5), ("b", 0.0)]

@@ -368,7 +368,7 @@ def test_graph_to_set_dominates_set_to_set(offs):
 def _multigraph_with_sets(draw):
     # points mix vertices, interior points, and points on the edges
     # (self-loops included) of each other
-    n, edges, G = _draw_multigraph(draw, st.floats(0.25, 3.0))
+    n, edges, G = _draw_multigraph(draw, st.sampled_from([0.1, 0.3, math.pi / 7]) | st.floats(0.25, 3.0))
     point = st.one_of(
         st.builds(lambda v: f"v{v}", st.integers(0, n - 1)),
         st.tuples(st.integers(0, len(edges) - 1), st.floats(0.01, 0.99)).map(
@@ -404,6 +404,9 @@ def test_distance_field_matches_dense_kernel(case):
     verts = [gg.vertex_point(G, v) for v in G.vertices]
     field = A._distances
     assert field == pytest.approx(gg.pairwise_distances(G, verts, A).min(axis=1), rel=1e-12)
+    # the small-graph search and scipy's agree bit for bit
+    with mock.patch.object(graph_mod, "_SMALL_GRAPH", 0):
+        assert np.array_equal(graph_mod._distance_field(G, *graph_mod._anchors(A)), field)
     P = gg.pairwise_distances(G, A, B)
     assert gg.directed_hausdorff_sets(G, A, B) == pytest.approx(P.min(axis=1).max(), rel=1e-12)
     assert gg.directed_hausdorff_sets(G, B, A) == pytest.approx(P.min(axis=0).max(), rel=1e-12)

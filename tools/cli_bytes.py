@@ -102,6 +102,16 @@ def _digest(data: str | bytes) -> str:
     return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()[:16]
 
 
+def write_fixtures(root: Path) -> None:
+    """The fixture files the cases name, under root/fx."""
+    fx = root / "fx"
+    fx.mkdir()
+    for name, (graph, x, y) in FIXTURES.items():
+        for suffix, doc in (("", graph), ("-x", x), ("-y", y)):
+            (fx / f"{name}{suffix}.json").write_text(json.dumps(doc))
+    (fx / "off.json").write_text(json.dumps([{"edge": "nope", "offset": 0.5}]))
+
+
 def run_here(src: str) -> dict[str, str]:
     """Every case run in process on the tree at src, in the working
     directory: output name -> hash."""
@@ -110,12 +120,7 @@ def run_here(src: str) -> dict[str, str]:
     from ghgraph.cli import main
 
     assert Path(ghgraph.__file__).resolve().is_relative_to(Path(src).resolve()), ghgraph.__file__
-    fx = Path("fx")
-    fx.mkdir()
-    for name, (graph, x, y) in FIXTURES.items():
-        for suffix, doc in (("", graph), ("-x", x), ("-y", y)):
-            (fx / f"{name}{suffix}.json").write_text(json.dumps(doc))
-    (fx / "off.json").write_text(json.dumps([{"edge": "nope", "offset": 0.5}]))
+    write_fixtures(Path("."))
     hashes = {}
     for case, argv in cases().items():
         before = set(Path(".").iterdir())
