@@ -147,24 +147,25 @@ def region_net(G: MetricGraph, W: EdgeIntervalSet, delta: float) -> PointSet:
         raise NonPositiveEpsilon(f"delta must be positive, got {delta}")
     pts: list = sorted(W.vertices)
     spans = [(eid, lo, hi) for eid, ivs in sorted(W.intervals.items()) for lo, hi in ivs]
-    for (eid, lo, hi), m in zip(spans, _steps([hi - lo for _, lo, hi in spans], delta, len(pts))):
+    ends = point_set(G, pts + [(eid, x) for eid, lo, hi in spans for x in (lo, hi)])
+    for (eid, lo, hi), m in zip(spans, _steps([hi - lo for _, lo, hi in spans], delta, len(ends))):
         pts += _spaced(eid, lo, hi, m)
     return point_set(G, pts)
 
 
-def _steps(spans: list[float], eps: float, fixed: int) -> list[int]:
+def _steps(spans: list[float], eps: float, ends: int) -> list[int]:
     """Steps of at most 2*eps across each span, at least one. Raises
-    GuardExceeded when a net with every step end and ``fixed`` more points
-    would exceed POINT_GUARD points."""
+    GuardExceeded when the net, ``ends`` distinct span ends and other
+    points plus the steps' inner ends, would exceed POINT_GUARD points."""
     ratios = [span / (2.0 * eps) for span in spans]
-    if max(ratios, default=0.0) < POINT_GUARD:
+    if max(ratios, default=0.0) <= POINT_GUARD:
         steps = [max(1, math.ceil(r)) for r in ratios]
-        count = fixed + sum(steps) + len(steps)
-    else:  # one span alone exceeds the guard; the ratio may be too big to round
-        steps, count = [], fixed + sum(ratios) + len(ratios)
-    if count > POINT_GUARD:
-        raise GuardExceeded(f"net guard of {POINT_GUARD} points exceeded: {count:.3g} points")
-    return steps
+        count = ends + sum(steps) - len(steps)
+        if count <= POINT_GUARD:
+            return steps
+    else:  # that span's inner ends alone exceed the guard; its ratio may be too big to round
+        count = ends + sum(max(r, 1.0) - 1.0 for r in ratios)
+    raise GuardExceeded(f"net guard of {POINT_GUARD} points exceeded: {count:.3g} points")
 
 
 def _spaced(eid: str, lo: float, hi: float, m: int) -> list[tuple[str, float]]:
@@ -385,7 +386,8 @@ def epsilon_net(G: MetricGraph, eps: float) -> PointSet:
         raise NonPositiveEpsilon(f"epsilon must be positive, got {eps}")
     pts: list = [v for v, k in zip(G.vertices, G.vertex_degree.tolist()) if k == 0]
     lengths = G.edge_length.tolist()
-    for eid, length, m in zip(G.edge_ids, lengths, _steps(lengths, eps, len(pts))):
+    # every vertex is an edge's end or joins as itself
+    for eid, length, m in zip(G.edge_ids, lengths, _steps(lengths, eps, len(G.vertices))):
         pts += _spaced(eid, 0.0, length, m)
     net = point_set(G, pts)
     measured = hausdorff_graph_to_set(G, net)

@@ -38,7 +38,7 @@ from .errors import (
 
 TOLERANCE = 1e-9
 
-# Vertex searches on a graph of at most this many vertices run in Python
+# Distance searches on a graph of at most this many vertices run in Python
 # and numpy; on a larger one, scipy runs them and is imported then.
 _SMALL_GRAPH = 64
 
@@ -221,21 +221,17 @@ def _raise_for_edges(vindex: dict[str, int], edges: list) -> None:
     raise ValidationError("edge list rejected")
 
 
-# Vertex searches. A graph on at most _SMALL_GRAPH vertices is searched in
-# Python and numpy, a larger one by scipy. Lengths are positive and float
+# Vertex searches. Connectivity is counted by union-find at every size.
+# Distances on a graph of at most _SMALL_GRAPH vertices are searched in
+# Python and numpy, on a larger one by scipy. Lengths are positive and float
 # addition rounds monotonically, so every correct label-correcting search
 # ends at the least left-to-right sum of lengths over paths, and the two
 # paths agree bit for bit.
 
 
 def _component_count(n: int, a, b) -> int:
-    """Connected components of the graph on nodes 0..n-1 with links a[i]-b[i]."""
-    if n > _SMALL_GRAPH:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import connected_components
-
-        adj = csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
-        return connected_components(adj, directed=False, return_labels=False)
+    """Connected components of the graph on nodes 0..n-1 with links a[i]-b[i],
+    by union-find."""
     root = list(range(n))
     count = n
     for x, y in zip(a.tolist(), b.tolist()):
@@ -262,28 +258,15 @@ def _relaxed_distances(skeleton) -> np.ndarray:
 
     Row w of the table X holds d(s, w) for every source s; each round
     lowers it to X[w'] + l over the skeleton links w' -> w of length l,
-    until no entry falls. The links are read from a table of each vertex's
-    k-th link, padded with infinite lengths, unless padding would more than
-    double them (a star's centre); then the rows are reduced link list by
-    link list.
+    reduced over w's link list, until no entry falls.
     """
     indptr, indices, data = skeleton
-    n, deg = len(indptr) - 1, np.diff(indptr)
-    K = deg.max(initial=0)
+    n = len(indptr) - 1
     X = np.full((n, n), np.inf)
     np.fill_diagonal(X, 0.0)
-    if K * n <= 2 * len(indices):
-        row = np.repeat(np.arange(n), deg)
-        col = np.arange(len(indices)) - indptr[row]
-        nbr = np.zeros((K, n), dtype=np.int64)
-        nbr[col, row] = indices
-        length = np.full(nbr.shape + (1,), np.inf)
-        length[col, row, 0] = data
-        lower = lambda: (X[nbr] + length).min(axis=0, initial=np.inf)
-    else:  # every vertex has a link: a graph with one vertex pads nothing
-        lower = lambda: np.minimum.reduceat(X[indices] + data[:, None], indptr[:-1], axis=0)
-    while ((low := lower()) < X).any():
-        np.minimum(X, low, out=X)
+    if n > 1:  # connected, so every vertex has a link and no link list is empty
+        while ((low := np.minimum.reduceat(X[indices] + data[:, None], indptr[:-1], axis=0)) < X).any():
+            np.minimum(X, low, out=X)
     return np.ascontiguousarray(X.T)
 
 

@@ -553,15 +553,29 @@ def test_construct_guard_counts_every_point(monkeypatch):
     G = gg.segment_graph(0.0, 2.0)
     monkeypatch.setattr(gg.constructions, "POINT_GUARD", 9)
     assert len(gg.epsilon_net(G, 0.125)) == 9
+    assert len(gg.region_net(G, gg.whole_graph_region(G), 0.125)) == 9
     assert len(gg.star_counterexample(9)[0].edge_ids) == 9
     monkeypatch.setattr(gg.constructions, "POINT_GUARD", 8)
     with pytest.raises(gg.GuardExceeded, match="exceeded: 9 points"):
         gg.epsilon_net(G, 0.125)
-    # the region's two vertices are counted too, before repeats are dropped
-    with pytest.raises(gg.GuardExceeded, match="exceeded: 11 points"):
+    # the region's vertices are the spans' ends, counted once
+    with pytest.raises(gg.GuardExceeded, match="exceeded: 9 points"):
         gg.region_net(G, gg.whole_graph_region(G), 0.125)
     with pytest.raises(gg.GuardExceeded, match="exceeded: 9 rays"):
         gg.star_counterexample(9)
+
+
+def test_construct_guard_counts_shared_ends_once(monkeypatch):
+    # a path of 12 short edges at a large epsilon is its 13 vertices; each
+    # inner vertex ends two edges and counts once
+    P = gg.build_graph([f"v{i}" for i in range(13)], [(f"e{i}", f"v{i}", f"v{i + 1}", 0.1) for i in range(12)])
+    W = gg.whole_graph_region(P)
+    monkeypatch.setattr(gg.constructions, "POINT_GUARD", 13)
+    assert len(gg.epsilon_net(P, 1.0)) == len(gg.region_net(P, W, 1.0)) == 13
+    monkeypatch.setattr(gg.constructions, "POINT_GUARD", 12)
+    for net in (lambda: gg.epsilon_net(P, 1.0), lambda: gg.region_net(P, W, 1.0)):
+        with pytest.raises(gg.GuardExceeded, match="exceeded: 13 points"):
+            net()
 
 
 def test_construction_verification_exit_code(capsys, seg_files, tmp_path, monkeypatch):
