@@ -182,7 +182,8 @@ def _gap_max(DX: np.ndarray, DY: np.ndarray, xs, ys) -> float:
     """The largest |DX[x, x'] - DY[y, y']| over the related pairs (xs[i], ys[i]),
     read over the full matrix: kept matrices are exactly symmetric with zero
     diagonals, so its upper triangle alone holds the same largest gap."""
-    return float(np.abs(DX[np.ix_(xs, xs)] - DY[np.ix_(ys, ys)]).max())
+    xs, ys = np.asarray(xs), np.asarray(ys)
+    return float(np.abs(DX[xs[:, None], xs] - DY[ys[:, None], ys]).max())
 
 
 # --------------------------------------------------------------------------
@@ -193,10 +194,14 @@ def _seed_assignments(DX: np.ndarray, DY: np.ndarray) -> list[tuple[list[int], l
     n, m = DX.shape[0], DY.shape[0]
     ecc_x = DX.max(axis=1)
     ecc_y = DY.max(axis=1)
-    f1 = [int(np.argmin(np.abs(ecc_y - ecc_x[i]))) for i in range(n)]
-    g1 = [int(np.argmin(np.abs(ecc_x - ecc_y[j]))) for j in range(m)]
-    order_x = sorted(range(n), key=lambda i: (float(DX[i].sum()), i))
-    order_y = sorted(range(m), key=lambda j: (float(DY[j].sum()), j))
+    # argmin takes the first of tied minima
+    f1 = np.abs(ecc_y[None, :] - ecc_x[:, None]).argmin(axis=1).tolist()
+    g1 = np.abs(ecc_x[None, :] - ecc_y[:, None]).argmin(axis=1).tolist()
+    # kept matrices are C-contiguous, so each sum along a row adds in the
+    # order DX[i].sum() does and gives the same bits
+    sum_x, sum_y = DX.sum(axis=1).tolist(), DY.sum(axis=1).tolist()
+    order_x = sorted(range(n), key=lambda i: (sum_x[i], i))
+    order_y = sorted(range(m), key=lambda j: (sum_y[j], j))
     f2 = [0] * n
     for rank, i in enumerate(order_x):
         f2[i] = order_y[min(m - 1, rank * m // n)]
@@ -215,14 +220,20 @@ class _PairGaps:
     _PAIR_BLOCK_CELLS gaps, or the m rows of one point of X for the largest
     spaces. A table that fits in one block is computed once and kept; a
     larger one is computed again, block by block, for every threshold, so
-    no float array of all (nm)^2 gaps is ever held.
+    no float array of all (nm)^2 gaps is ever held. A kept table also keeps
+    its gaps sorted, so the least gap at or above a threshold comes from
+    one binary search instead of a scan of the whole table.
     """
 
     def __init__(self, DX: np.ndarray, DY: np.ndarray):
         self.DX, self.DY = DX, DY
         n, m = DX.shape[0], DY.shape[0]
         self.step = max(1, _PAIR_BLOCK_CELLS // (m * n * m))
-        self.kept = list(self._blocks()) if self.step >= n else None
+        if self.step >= n:
+            (self.kept,) = self._blocks()
+            self.sorted = np.sort(self.kept, axis=None)
+        else:
+            self.kept = None
 
     def _blocks(self):
         DX, DY = self.DX, self.DY
@@ -236,9 +247,13 @@ class _PairGaps:
 
         A row's bit is set when the gap between the two pairs is below t.
         """
+        if self.kept is not None:
+            at = int(np.searchsorted(self.sorted, t))
+            least = float(self.sorted[at]) if at < self.sorted.size else math.inf
+            return _bit_rows(self.kept < t), least
         rows: list[int] = []
         least = math.inf
-        for gaps in self._blocks() if self.kept is None else self.kept:
+        for gaps in self._blocks():
             rows += _bit_rows(gaps < t)
             least = min(least, float(gaps.min(where=gaps >= t, initial=math.inf)))
         return rows, least

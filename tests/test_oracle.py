@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import ghgraph as gg
 
+import _brute
 from _brute import distortion_of_pairs, gh_by_enumeration, gh_forward_check
 
 TAU = 1e-9
@@ -291,6 +292,59 @@ def test_gh_matches_forward_check_reference_on_star(monkeypatch, block_cells):
     X = [("r1", 0.43), ("r1", 0.09), ("r3", 1.57), ("r3", 1.74), ("r1", 0.11), ("r2", 0.6), ("r3", 0.5)]
     Y = [("r3", 1.29), ("r3", 0.78), ("r4", 1.2), ("r2", 0.92), ("r4", 1.86), ("r1", 0.88), ("r3", 0.31)]
     assert _assert_same_search(_space(G, X), _space(G, Y)) == 294
+
+
+def _cycle(k):
+    # k evenly spaced points on a circle of circumference k: every
+    # eccentricity and every row sum tie, exactly
+    i = np.arange(k)
+    gap = np.abs(i[:, None] - i[None])
+    return gg.FiniteMetricSpace(np.minimum(gap, k - gap).astype(float))
+
+
+@settings(max_examples=80, deadline=None)
+@given(MX=_finite_spaces(), MY=_finite_spaces())
+@example(MX=_cycle(5), MY=_cycle(4))
+@example(MX=_cycle(4), MY=_cycle(6))
+def test_seed_assignments_match_the_row_loops(MX, MY):
+    assert gg.oracle._seed_assignments(MX.d, MY.d) == _brute._seed_assignments(MX.d, MY.d)
+
+
+def test_gap_max_reads_the_cells_of_ix():
+    rng = np.random.default_rng(3)
+    for n, m, k in [(1, 1, 1), (3, 5, 8), (7, 4, 11), (9, 9, 18)]:
+        DX, DY = (
+            gg.FiniteMetricSpace(np.linalg.norm(P[:, None] - P[None], axis=2)).d
+            for P in (rng.random((n, 2)), rng.random((m, 2)))
+        )
+        xs, ys = rng.integers(0, n, k).tolist(), rng.integers(0, m, k).tolist()  # with repeats
+        expected = float(np.abs(DX[np.ix_(xs, xs)] - DY[np.ix_(ys, ys)]).max())
+        assert gg.oracle._gap_max(DX, DY, xs, ys) == expected
+        assert gg.oracle._gap_max(DX, DY, np.array(xs), np.array(ys)) == expected
+
+
+@settings(max_examples=25, deadline=None)
+@given(MX=_finite_spaces(), MY=_finite_spaces())
+@example(MX=_cycle(5), MY=_cycle(4))
+def test_rows_below_on_kept_and_blocked_tables(MX, MY):
+    DX, DY = MX.d.tolist(), MY.d.tolist()
+    n, m = MX.n, MY.n
+    pairs = [(a, b) for a in range(n) for b in range(m)]
+    gaps = [[abs(DX[a][c] - DY[b][d]) for c, d in pairs] for a, b in pairs]
+    flat = sorted({g for row in gaps for g in row})
+    ts = {0.0, math.nextafter(flat[-1], math.inf)}
+    for g in flat:
+        ts |= {g, math.nextafter(g, -math.inf), math.nextafter(g, math.inf)}
+
+    kept = gg.oracle._PairGaps(MX.d, MY.d)
+    with mock.patch.object(gg.oracle, "_PAIR_BLOCK_CELLS", 1):
+        blocked = gg.oracle._PairGaps(MX.d, MY.d)
+    assert kept.kept is not None and (n == 1 or blocked.kept is None)
+    for t in sorted(ts):
+        rows = [sum(1 << q for q, g in enumerate(row) if g < t) for row in gaps]
+        least = min((g for row in gaps for g in row if g >= t), default=math.inf)
+        assert kept.rows_below(t) == (rows, least)
+        assert blocked.rows_below(t) == (rows, least)
 
 
 @settings(max_examples=60, deadline=None)

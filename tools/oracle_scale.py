@@ -10,8 +10,9 @@ Each source tree runs in its own subprocess on the same pairs, so a parent
 checkout and this one can be compared side by side. Per pair and tree it
 prints the time of one ``gh_exact`` call, the assignments explored (where
 the tree reports them), and the value, or ``trip`` with the bracket when
-the guard is exceeded. The last line counts the pairs whose values differ
-between trees.
+the guard is exceeded. The last two lines count the pairs whose values
+differ between trees, and the pairs whose assignment counts differ, among
+those where every tree reports them.
 
     python tools/oracle_scale.py                            # this checkout's src/
     python tools/oracle_scale.py /path/to/parent/src src    # before and after
@@ -96,6 +97,9 @@ def main() -> None:
         print(f"{src}: median {ms[len(ms) // 2]:.1f} ms, max {ms[-1]:.1f} ms, {trips} guard trips")
     differ = sum(len({row["value"] for row in rows if "value" in row}) > 1 for rows in zip(*results))
     print(f"pairs whose values differ between trees: {differ}")
+    counts = [[row.get("assignments") for row in rows] for rows in zip(*results)]
+    differ = sum(len(set(c)) > 1 for c in counts if None not in c)
+    print(f"pairs whose assignment counts differ between trees: {differ}")
 
 
 if __name__ == "__main__":
