@@ -15,7 +15,6 @@ All comparisons against stated hypotheses use the global ``TOLERANCE``.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,8 +37,9 @@ from .errors import (
 
 TOLERANCE = 1e-9
 
-# Distance searches on a graph of at most this many vertices run in Python
-# and numpy; on a larger one, scipy runs them and is imported then.
+# Distance searches on a graph of at most this many vertices run by one
+# numpy relaxation kernel; on a larger one, scipy runs them and is imported
+# then.
 _SMALL_GRAPH = 64
 
 __all__ = [
@@ -117,8 +117,12 @@ class MetricGraph:
     def vertex_distances(self) -> np.ndarray:
         """All-pairs vertex distances, computed on first access."""
         if self._vertex_distances is None:
-            small = len(self.vertices) <= _SMALL_GRAPH
-            self._vertex_distances = (_relaxed_distances if small else _sparse_distances)(self._skeleton)
+            n = len(self.vertices)
+            if n <= _SMALL_GRAPH:  # lower the identity table, a column per source, and read it by source
+                X = _relaxed(self._skeleton, np.where(np.eye(n, dtype=bool), 0.0, np.inf))
+                self._vertex_distances = np.ascontiguousarray(X.T)
+            else:
+                self._vertex_distances = _sparse_distances(self._skeleton)
         return self._vertex_distances
 
     @property
@@ -222,11 +226,13 @@ def _raise_for_edges(vindex: dict[str, int], edges: list) -> None:
 
 
 # Vertex searches. Connectivity is counted by union-find at every size.
-# Distances on a graph of at most _SMALL_GRAPH vertices are searched in
-# Python and numpy, on a larger one by scipy. Lengths are positive and float
-# addition rounds monotonically, so every correct label-correcting search
-# ends at the least left-to-right sum of lengths over paths, and the two
-# paths agree bit for bit.
+# Distances on a graph of at most _SMALL_GRAPH vertices come from one
+# kernel, _relaxed, which lowers a table of start values with a column per
+# search: the identity table for the dense matrix, one column of start
+# values for a distance field. On a larger graph scipy searches. Lengths are
+# positive and float addition rounds monotonically, so every correct
+# label-correcting search ends at the least left-to-right sum of lengths
+# over paths, and the two paths agree bit for bit.
 
 
 def _component_count(n: int, a, b) -> int:
@@ -253,21 +259,21 @@ def _csr(indptr, indices, data):
     return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _relaxed_distances(skeleton) -> np.ndarray:
-    """All-pairs vertex distances by relaxing from every source at once.
+def _relaxed(skeleton, X) -> np.ndarray:
+    """Lower the start table X in place, by relaxing every column at once,
+    and return it.
 
-    Row w of the table X holds d(s, w) for every source s; each round
-    lowers it to X[w'] + l over the skeleton links w' -> w of length l,
-    reduced over w's link list, until no entry falls.
+    X has a row per vertex and a column per search. Each round lowers row w
+    to X[w'] + l over the skeleton links w' -> w of length l, reduced over
+    w's link list, until no entry falls; X[w, j] then is the least start
+    X[x, j] plus the lengths along a path from x to w. The rounds are one
+    per link of the longest such path.
     """
     indptr, indices, data = skeleton
-    n = len(indptr) - 1
-    X = np.full((n, n), np.inf)
-    np.fill_diagonal(X, 0.0)
-    if n > 1:  # connected, so every vertex has a link and no link list is empty
+    if len(indptr) > 2:  # connected, so every vertex has a link and no link list is empty
         while ((low := np.minimum.reduceat(X[indices] + data[:, None], indptr[:-1], axis=0)) < X).any():
             np.minimum(X, low, out=X)
-    return np.ascontiguousarray(X.T)
+    return X
 
 
 def _sparse_distances(skeleton) -> np.ndarray:
@@ -563,9 +569,11 @@ def point_distance(G: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
 
 
 # A whole set A is reached through its distance field d(w, A) over the
-# vertices w, from one multi-source Dijkstra. Each endpoint x of an edge
-# holding members of A starts at the shortest walk along those edges from A
-# to x (the shorter arc on a self-loop); vertex members start at 0.
+# vertices w, from one search that starts every vertex at its start value
+# (a one-column table for _relaxed, a virtual source row for scipy). Each
+# endpoint x of an edge holding members of A starts at the shortest walk
+# along those edges from A to x (the shorter arc on a self-loop); vertex
+# members start at 0; every other vertex starts at infinity.
 # A point at offset s on e = (u, v, l) then has
 #   d(s, A) = min( s + d(u, A),  (l - s) + d(v, A),  min_t |s - t| )
 # over A's offsets t on e: a geodesic leaves e at an endpoint or stays on e.
@@ -577,29 +585,11 @@ def _distance_field(G: MetricGraph, a_idx, b_idx, off_a, off_b) -> np.ndarray:
     walk = np.full(n, np.inf)
     np.minimum.at(walk, a_idx, off_a)
     np.minimum.at(walk, b_idx, off_b)
-    return (_heap_field if n <= _SMALL_GRAPH else _sparse_field)(G._skeleton, walk)
-
-
-def _heap_field(skeleton, walk) -> np.ndarray:
-    """The search from every vertex w at its start walk[w], on a heap."""
-    indptr, indices, data = (c.tolist() for c in skeleton)
-    dist = walk.tolist()
-    heap = [(d, w) for w, d in enumerate(dist) if d < math.inf]
-    heapq.heapify(heap)
-    while heap:
-        d, x = heapq.heappop(heap)
-        if d > dist[x]:
-            continue
-        for k in range(indptr[x], indptr[x + 1]):
-            y, dy = indices[k], d + data[k]
-            if dy < dist[y]:
-                dist[y] = dy
-                heapq.heappush(heap, (dy, y))
-    return np.array(dist)
+    return _relaxed(G._skeleton, walk[:, None])[:, 0] if n <= _SMALL_GRAPH else _sparse_field(G._skeleton, walk)
 
 
 def _sparse_field(skeleton, walk) -> np.ndarray:
-    """The same search by scipy. The vertices that start above 0 are linked
+    """The field search by scipy. The vertices that start above 0 are linked
     one way from one virtual source row, at their start values, so the row
     is never a transit node; the vertices at 0 are sources themselves."""
     from scipy.sparse.csgraph import dijkstra

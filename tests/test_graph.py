@@ -115,7 +115,9 @@ def test_build_graph_decides_and_measures_as_scipy_does(graph):
     assert error == _error(lambda: _brute.build_graph(vertices, edges))
     if error is None:
         S = gg.build_graph(vertices, edges)._skeleton
-        assert np.array_equal(graph_mod._relaxed_distances(S), graph_mod._sparse_distances(S))
+        n = len(vertices)  # the identity table, a column per source
+        X = graph_mod._relaxed(S, np.where(np.eye(n, dtype=bool), 0.0, np.inf))
+        assert np.array_equal(X.T, graph_mod._sparse_distances(S))
 
 
 _GOOD_EDGES = [(f"e{k}", "abcdef"[k % 6], "abcdef"[(k + 1) % 6], 0.5 + k % 4) for k in range(40)]

@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import _brute
@@ -397,8 +397,16 @@ def _set_queries(G, A, B):
     ], W
 
 
+def _long_path():
+    # the deepest graph the small path takes: 64 vertices in a row, one
+    # source at each end, so the relaxation runs a round per edge
+    G = gg.build_graph([f"v{i}" for i in range(64)], [(f"e{i}", f"v{i}", f"v{i + 1}", 1.0) for i in range(63)])
+    return G, gg.point_set(G, ["v0"]), gg.point_set(G, ["v63"])
+
+
 @settings(max_examples=150, deadline=None)
 @given(_multigraph_with_sets())
+@example(_long_path())
 def test_distance_field_matches_dense_kernel(case):
     G, A, B = case
     verts = [gg.vertex_point(G, v) for v in G.vertices]

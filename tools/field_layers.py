@@ -12,7 +12,10 @@ by ``bench/workloads.edge_points`` and times, per call:
 The graphs are the seed-0 ``bench/workloads.random_multigraph`` graphs with
 V = 500, 1000 and 2000 and E = 2V, each with 2000 points per set, as in the
 field workload, and one 60-edge graph (V = 30) with 60 points per set, the
-size of the certify workload's middle family. Each time is the best, over
+size of the certify workload's middle family. The last graph is a path of
+64 unit edges with one point in each set, at opposite ends: the deepest
+graph that the small-graph relaxation searches, one round per edge, so its
+row shows that kernel's worst case. Each time is the best, over
 ``--repeat`` rounds, of the mean of enough back-to-back calls to fill about
 20 ms.
 
@@ -68,10 +71,15 @@ def run(src: str, repeat: int) -> None:
     import ghgraph as gg
     from workloads import edge_points, random_multigraph
 
-    for V, E, k in CASES:
-        rng = random.Random(0)
-        vertices, edges = random_multigraph(rng, V, E)
-        a, b = edge_points(rng, edges, k), edge_points(rng, edges, k)
+    def cases():
+        for V, E, k in CASES:
+            rng = random.Random(0)
+            vertices, edges = random_multigraph(rng, V, E)
+            yield f"V={V} E={E} points={k}", vertices, edges, edge_points(rng, edges, k), edge_points(rng, edges, k)
+        vertices, edges = [f"v{i}" for i in range(64)], [(f"e{i}", f"v{i}", f"v{i + 1}", 1.0) for i in range(63)]
+        yield "path V=64 E=63 points=1, at opposite ends", vertices, edges, [("e0", 0.0)], [("e62", 1.0)]
+
+    for case, vertices, edges, a, b in cases():
         G = gg.build_graph(vertices, edges)
         A, B = gg.point_set(G, a), gg.point_set(G, b)
         T = gg.thickening(G, A, RADIUS)
@@ -86,7 +94,7 @@ def run(src: str, repeat: int) -> None:
             "hausdorff_graph_to_region": lambda: gg.hausdorff_graph_to_region(G, T),
             "hausdorff_sets": lambda: gg.hausdorff_sets(G, fresh(A), fresh(B)),
         }
-        row = {"case": f"V={V} E={E} points={k}", "us": {}, "values": {}}
+        row = {"case": case, "us": {}, "values": {}}
         for name in LAYERS:
             row["us"][name] = 1e6 * per_call(calls[name], repeat)
             if name.startswith("hausdorff"):

@@ -8,11 +8,14 @@ search is heavy-tailed, which is what this script shows.
 
 Each source tree runs in its own subprocess on the same pairs, so a parent
 checkout and this one can be compared side by side. Per pair and tree it
-prints the time of one ``gh_exact`` call, the assignments explored (where
-the tree reports them), and the value, or ``trip`` with the bracket when
-the guard is exceeded. The last two lines count the pairs whose values
-differ between trees, and the pairs whose assignment counts differ, among
-those where every tree reports them.
+prints the least time of ``CALLS`` = 3 ``gh_exact`` calls, so that a slow
+spell of a shared host does not set a pair's time and the maxima repeat
+between runs; then the assignments explored (where the tree reports them),
+and the value, or ``trip`` with the bracket when the guard is exceeded.
+These come from the first call, and every later call must give the same.
+The last two lines count the pairs whose values differ between trees, and
+the pairs whose assignment counts differ, among those where every tree
+reports them.
 
     python tools/oracle_scale.py                            # this checkout's src/
     python tools/oracle_scale.py /path/to/parent/src src    # before and after
@@ -29,6 +32,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CALLS = 3
 
 
 def pairs(seed: int, count: int, sizes: tuple[int, int]) -> list[tuple[list[float], list[float]]]:
@@ -47,10 +51,9 @@ def run(src: str, seed: int, count: int, sizes: tuple[int, int], guard: int) -> 
 
     search = getattr(gg.oracle, "_search", None)
     G = gg.circle_graph()
-    for xs, ys in pairs(seed, count, sizes):
-        X, Y = (gg.restrict_metric(G, gg.point_set(G, [("loop", s) for s in side])) for side in (xs, ys))
-        row = {"n": len(xs)}
-        t0 = time.perf_counter()
+
+    def solve(X, Y) -> dict:
+        row = {}
         try:
             if search is None:
                 row["value"] = gg.gh_exact(X, Y, guard=guard)[0]
@@ -59,8 +62,17 @@ def run(src: str, seed: int, count: int, sizes: tuple[int, int], guard: int) -> 
                 row["value"] = value / 2.0
         except gg.GuardExceeded as exc:
             row["bracket"] = exc.bracket
-        row["ms"] = 1000.0 * (time.perf_counter() - t0)
-        print(json.dumps(row), flush=True)
+        return row
+
+    for xs, ys in pairs(seed, count, sizes):
+        X, Y = (gg.restrict_metric(G, gg.point_set(G, [("loop", s) for s in side])) for side in (xs, ys))
+        times, outcomes = [], []
+        for _ in range(CALLS):
+            t0 = time.perf_counter()
+            outcomes.append(solve(X, Y))
+            times.append(1000.0 * (time.perf_counter() - t0))
+        assert all(outcome == outcomes[0] for outcome in outcomes), outcomes
+        print(json.dumps({"n": len(xs), **outcomes[0], "ms": min(times)}), flush=True)
 
 
 def main() -> None:
@@ -84,7 +96,7 @@ def main() -> None:
         done = subprocess.run(cmd, check=True, capture_output=True, text=True)
         results.append([json.loads(line) for line in done.stdout.splitlines()])
 
-    print(f"seed {args.seed}, guard {args.guard}; per tree: ms, assignments, value or bracket")
+    print(f"seed {args.seed}, guard {args.guard}; per tree: least ms of {CALLS} calls, assignments, value or bracket")
     for i, rows in enumerate(zip(*results)):
         cells = []
         for row in rows:
