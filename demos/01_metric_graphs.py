@@ -20,7 +20,10 @@ G = gg.build_graph(
     ],
 )
 print("vertices:", G.vertices)
-print("edges:", [(e.id, e.u, e.v, e.length) for e in G.edges])
+# Each edge view is a named tuple (id, u, v, length): the same 4-tuple
+# build_graph reads.
+print("edges:", [tuple(e) for e in G.edges])
+print("first edge:", G.edges[0], "length", G.edges[0].length)
 
 # Points live on edges (edge id + offset) or at vertices. Offsets at an
 # endpoint canonicalize to the vertex.

@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,9 +74,9 @@ __all__ = [
 # graph construction
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
-    """One edge of a metric graph; ``u == v`` makes it a self-loop."""
+class Edge(NamedTuple):
+    """One edge of a metric graph; ``u == v`` makes it a self-loop. It is the
+    ``(edge_id, u, v, length)`` tuple that :func:`build_graph` reads."""
 
     id: str
     u: str
@@ -93,10 +93,11 @@ class MetricGraph:
     ids in edge order, ``edge_index`` maps an id to its position, and
     ``edge_u``, ``edge_v`` (vertex indices of the endpoints), ``edge_length``
     and ``vertex_degree`` (a self-loop counts twice) are read-only arrays in
-    edge and vertex order. ``edges`` is a tuple of :class:`Edge` views built
-    on first access; ``edge(id)`` builds one. The dense matrix
-    ``vertex_distances`` is built on first use and cached; only point-pair
-    queries and the continuum diameter read it.
+    edge and vertex order. ``edges`` is a tuple of :class:`Edge` views, named
+    tuples equal to the ``(edge_id, u, v, length)`` tuples that
+    :func:`build_graph` reads, built on first access; ``edge(id)`` builds
+    one. The dense matrix ``vertex_distances`` is built on first use and
+    cached; only point-pair queries and the continuum diameter read it.
     """
 
     __slots__ = (
@@ -130,8 +131,8 @@ class MetricGraph:
         """The edges as :class:`Edge` views, in edge order, built on first access."""
         if self._edges is None:
             names = np.array(self.vertices, dtype=object)
-            ends = names[self.edge_u], names[self.edge_v]
-            self._edges = tuple(map(Edge, self.edge_ids, *ends, self.edge_length.tolist()))
+            rows = zip(self.edge_ids, names[self.edge_u], names[self.edge_v], self.edge_length.tolist())
+            self._edges = tuple(map(tuple.__new__, itertools.repeat(Edge), rows))
         return self._edges
 
     # -- simple accessors ---------------------------------------------------
@@ -188,14 +189,19 @@ def build_graph(
     # Self-loops never shorten vertex-to-vertex paths; between distinct
     # vertices only the shortest parallel edge matters. Each pair is stored
     # once per direction, so searches run directed and never transpose.
-    link = u != v
-    a, b, w = np.concatenate([u[link], v[link]]), np.concatenate([v[link], u[link]]), np.tile(lengths[link], 2)
-    order = np.lexsort((w, b, a))
-    a, b, w = a[order], b[order], w[order]
-    first = np.ones(len(a), dtype=bool)
-    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(a[first], minlength=len(vs)))])
-    skeleton = (indptr, b[first], w[first])
+    # A link a -> b sorts by the key a * n + b, n the vertex count, and each
+    # run of one key keeps its least length.
+    link, n = u != v, len(vs)
+    a, b, w = u[link], v[link], lengths[link]
+    key, w = np.concatenate([a * n + b, b * n + a]), np.concatenate([w, w])
+    order = key.argsort()
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    first = first.nonzero()[0]
+    a, b = np.divmod(key[first], n)
+    indptr = np.concatenate([[0], np.bincount(a, minlength=n).cumsum()])
+    skeleton = (indptr, b, np.minimum.reduceat(w[order], first))
     G = MetricGraph.__new__(MetricGraph)
     G.vertices, G.vertex_index, G.edge_ids, G.edge_index = vs, vindex, ids, eindex
     G.edge_u, G.edge_v, G.edge_length = u, v, lengths

@@ -19,8 +19,9 @@ The exact GH search reference is the float forward-check search the
 pair-bitmask search replaced; it walks the same tree and counts the same
 assignments. The graph build reference is the per-edge validation and
 skeleton loop that made one ``Edge`` per edge, before the graph was stored
-as columns. The experiment's random subset reference passes the edge
-lengths as weights on every draw.
+as columns; the skeleton reference is the 3-key ``lexsort`` that kept the
+shortest parallel edge before one integer key was sorted. The experiment's
+random subset reference passes the edge lengths as weights on every draw.
 """
 
 from __future__ import annotations
@@ -88,6 +89,22 @@ def build_graph(vertices, edges):
         vs, tuple(built), vindex, eindex, u, v, np.array(lengths), degree, skeleton,
         sparse_dijkstra(skeleton, directed=True),
     )
+
+
+# the 3-key lexsort skeleton of the columnar ``build_graph``, frozen; it
+# reads the graph's own edge columns and returns (indptr, indices, data)
+
+
+def lexsort_skeleton(G):
+    u, v, lengths, vs = G.edge_u, G.edge_v, G.edge_length, G.vertices
+    link = u != v
+    a, b, w = np.concatenate([u[link], v[link]]), np.concatenate([v[link], u[link]]), np.tile(lengths[link], 2)
+    order = np.lexsort((w, b, a))
+    a, b, w = a[order], b[order], w[order]
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(a[first], minlength=len(vs)))])
+    return (indptr, b[first], w[first])
 
 
 def dijkstra(vertex_ids, edge_list, src):

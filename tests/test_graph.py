@@ -89,6 +89,53 @@ def test_build_graph_matches_scalar_reference(graph):
 
 
 @st.composite
+def _crowded_edge_lists(draw):
+    """Vertices and edges of a connected multigraph whose links crowd a few
+    vertex pairs, with lengths from a few that tie."""
+    V = draw(st.integers(2, 30))
+    ends = [(i - 1, i) for i in range(1, V)]
+    ends += draw(st.lists(st.tuples(st.integers(0, min(V, 5) - 1), st.integers(0, V - 1)), max_size=60))
+    length = st.sampled_from([0.5, 1.0, 1.5])
+    return [f"v{i}" for i in range(V)], [(f"e{k}", f"v{a}", f"v{b}", draw(length)) for k, (a, b) in enumerate(ends)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_edge_lists() | _crowded_edge_lists())
+@example((["o"], []))  # one vertex, no edge
+@example((["o"], [("a", "o", "o", 1.0), ("b", "o", "o", 0.5)]))  # only self-loops
+@example(  # parallel edges of equal and of unequal length, both ways round, and a self-loop
+    (["u", "v"], [("a", "u", "v", 2.0), ("b", "v", "u", 2.0), ("c", "u", "v", 0.5), ("d", "v", "v", 0.1)])
+)
+@example(([0, 1, 2], [(0, 1, 0, 1.5), (1, 2, 1, 0.5), (2, 0, 1, 1.5), (3, 2, 2, 1.0)]))  # ids that are not str
+def test_skeleton_matches_lexsort_reference(graph):
+    # one integer-key sort keeps the least length per vertex pair in the
+    # same bytes as the 3-key lexsort it replaced
+    G = gg.build_graph(*graph)
+    for column, frozen in zip(G._skeleton, _brute.lexsort_skeleton(G), strict=True):
+        assert column.dtype == frozen.dtype and column.tobytes() == frozen.tobytes()
+
+
+def test_edge_views_are_the_tuples_build_graph_reads(multi):
+    # a view is the (edge_id, u, v, length) tuple that build_graph reads, so
+    # the views rebuild the same graph
+    same = gg.build_graph(multi.vertices, multi.edges)
+    assert (same.vertices, same.vertex_index) == (multi.vertices, multi.vertex_index)
+    assert (same.edge_ids, same.edge_index) == (multi.edge_ids, multi.edge_index)
+    for name in ("edge_u", "edge_v", "edge_length", "vertex_degree"):
+        assert getattr(same, name).tobytes() == getattr(multi, name).tobytes()
+    assert [a.tobytes() for a in same._skeleton] == [a.tobytes() for a in multi._skeleton]
+    for k, eid in enumerate(multi.edge_ids):
+        row = (eid, multi.vertices[multi.edge_u[k]], multi.vertices[multi.edge_v[k]], float(multi.edge_length[k]))
+        assert multi.edges[k] == multi.edge(eid) == row
+        assert type(multi.edges[k].length) is float and hash(multi.edges[k]) == hash(row)
+    assert len(set(multi.edges)) == len(multi.edges)
+    with pytest.raises(AttributeError):
+        multi.edges[0].length = 1.0
+    G = gg.build_graph(["v0", "v1"], [("e0", "v0", "v1", 0.5)])
+    assert repr(G.edges[0]) == repr(G.edge("e0")) == "Edge(id='e0', u='v0', v='v1', length=0.5)"
+
+
+@st.composite
 def _any_edge_lists(draw):
     """Vertices and edges with free endpoints, so often disconnected, and
     lengths from a few that tie."""
@@ -819,20 +866,27 @@ def test_field_path_builds_no_graph_point(monkeypatch):
 
 
 def test_request_paths_build_no_edge(monkeypatch, tmp_path, capsys):
-    # every library query and CLI verb reads the graph's columns: not one
-    # Edge is made, where the scalar build made one per edge
+    # every library query and CLI verb reads the graph's columns: no graph
+    # a request builds has its Edge views built, and no request asks for one
+    # edge's view, where the scalar build made one per edge
+    from ghgraph import cli as cli_mod
+    from ghgraph import constructions as constructions_mod
     from ghgraph.cli import main
 
-    made = []
+    built, asked = [], []
+    build, edge = graph_mod.build_graph, graph_mod.MetricGraph.edge
 
-    class CountingEdge(graph_mod.Edge):
-        __slots__ = ()
+    def recording_build(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
 
-        def __init__(self, *args, **kwargs):
-            made.append(1)
-            super().__init__(*args, **kwargs)
+    def recording_edge(self, edge_id):
+        asked.append(edge_id)
+        return edge(self, edge_id)
 
-    monkeypatch.setattr(graph_mod, "Edge", CountingEdge)
+    for module in (gg, graph_mod, cli_mod, constructions_mod):
+        monkeypatch.setattr(module, "build_graph", recording_build)
+    monkeypatch.setattr(graph_mod.MetricGraph, "edge", recording_edge)
     docs = {
         "seg": [("s", "u", "v", 2.0)],
         "circle": [("loop", "u", "u", 6.0)],
@@ -867,8 +921,8 @@ def test_request_paths_build_no_edge(monkeypatch, tmp_path, capsys):
     for argv in (["construct", "star", "--n", "3"], ["construct", "circle6", "--epsilon", "0.1"]):
         assert main(argv + ["--out", str(tmp_path / "c")]) == 0
     capsys.readouterr()
-    assert made == []
-    G.edges  # the views of the last graph, multi, are built on first access, once
-    assert len(made) == 4
-    G.edges, G.edge(eid)
-    assert len(made) == 5
+    assert len(built) >= 3 * (1 + 6) + 2  # each library graph, and at least one per CLI verb
+    assert [H._edges for H in built] == [None] * len(built) and asked == []
+    views = G.edges  # the views of the last graph, multi, are built on first access, once
+    assert len(G._edges) == 4 and G.edges is views
+    assert G.edge(eid) == views[0] and G.edge(eid) is not views[0] and asked == [eid, eid]

@@ -3,6 +3,9 @@
 On each graph it builds two point sets of ``(edge id, offset)`` specs drawn
 by ``bench/workloads.edge_points`` and times, per call:
 
+- ``build_graph`` on the graph's vertex and edge lists;
+- the first ``G.edges`` access, which builds the graph's ``Edge`` views
+  (each call drops the views of the last one first, so it builds them anew);
 - ``point_set`` on the first spec list;
 - ``hausdorff_graph_to_set`` on the first set;
 - ``thickening`` of the first set by r = 0.25, the field radius;
@@ -30,13 +33,15 @@ Each source tree runs in its own subprocess on the same inputs, so a parent
 checkout and this one can be compared side by side. The trees take turns
 over ``--passes`` passes, and each time printed is the least over them, so
 a slow spell of a shared host does not fall on one tree only. The last line
-counts the values that differ between trees.
+counts the values that differ between trees: the skeleton bytes of the
+graph, the count and repr of its views, and the Hausdorff distances.
 
     python tools/field_layers.py                            # this checkout's src/
     python tools/field_layers.py /path/to/parent/src src    # before and after
 """
 
 import argparse
+import hashlib
 import json
 import random
 import subprocess
@@ -47,7 +52,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ((500, 1000, 2000), (1000, 2000, 2000), (2000, 4000, 2000), (30, 60, 60))
 RADIUS = 0.25
-LAYERS = ("point_set", "hausdorff_graph_to_set", "thickening", "hausdorff_graph_to_region", "hausdorff_sets")
+LAYERS = (
+    "build_graph",
+    "G.edges",
+    "point_set",
+    "hausdorff_graph_to_set",
+    "thickening",
+    "hausdorff_graph_to_region",
+    "hausdorff_sets",
+)
 
 
 def per_call(fn, repeat: int) -> float:
@@ -62,6 +75,20 @@ def per_call(fn, repeat: int) -> float:
             fn()
         best = min(best, (time.perf_counter() - t0) / number)
     return best
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def value(name: str, out) -> str | None:
+    """What a timed call returned, as text that is equal between trees when
+    the values are; None for a layer whose value is not compared."""
+    if name == "build_graph":
+        return sha(b"".join(a.tobytes() for a in out._skeleton))
+    if name == "G.edges":
+        return f"{len(out)} views, repr {sha(repr(out).encode())}"
+    return repr(out) if name.startswith("hausdorff") else None
 
 
 def run(src: str, repeat: int) -> None:
@@ -87,7 +114,13 @@ def run(src: str, repeat: int) -> None:
         def fresh(S):
             return gg.PointSet._from_columns(G, S._edge, S._vertex, S._offset)
 
+        def first_edges():
+            G._edges = None
+            return G.edges
+
         calls = {
+            "build_graph": lambda: gg.build_graph(vertices, edges),
+            "G.edges": first_edges,
             "point_set": lambda: gg.point_set(G, a),
             "hausdorff_graph_to_set": lambda: gg.hausdorff_graph_to_set(G, fresh(A)),
             "thickening": lambda: gg.thickening(G, fresh(A), RADIUS),
@@ -97,8 +130,8 @@ def run(src: str, repeat: int) -> None:
         row = {"case": case, "us": {}, "values": {}}
         for name in LAYERS:
             row["us"][name] = 1e6 * per_call(calls[name], repeat)
-            if name.startswith("hausdorff"):
-                row["values"][name] = repr(calls[name]())
+            if (text := value(name, calls[name]())) is not None:
+                row["values"][name] = text
         print(json.dumps(row), flush=True)
 
 
