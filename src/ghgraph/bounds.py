@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import EmptySet, NotATree, PointOutsideInterval
+from .errors import EmptySet, NotATree, PointOutsideInterval, ValidationError
 from .graph import (
     TOLERANCE,
     MetricGraph,
@@ -188,7 +188,10 @@ def _graph_pair_bound(G: MetricGraph, X: PointSet, eps: float, h_xy: float) -> B
 def _diam(space: FiniteMetricSpace | float) -> float:
     if isinstance(space, FiniteMetricSpace):
         return float(space.d.max())
-    return float(space)
+    diam = float(space)
+    if not 0.0 <= diam < math.inf:
+        raise ValidationError(f"a diameter must be finite and >= 0, got {space}")
+    return diam
 
 
 def diameter_bound(
@@ -281,8 +284,8 @@ def interval_gh_exact(
     span [c, d] and the Hausdorff distance of X inside its own span. Accepts
     raw coordinates, or a PointSet together with its single-edge graph.
     """
-    if not a < b:
-        raise PointOutsideInterval("interval must satisfy a < b")
+    if not -math.inf < a < b < math.inf:
+        raise PointOutsideInterval(f"interval needs finite a < b, got [{a}, {b}]")
     if isinstance(X, PointSet):
         if G is None:
             raise PointOutsideInterval("a PointSet needs its segment graph")

@@ -17,6 +17,7 @@ always a certified fixture.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +27,6 @@ from .errors import (
     GuardExceeded,
     NonPositiveEpsilon,
     NotACorrespondence,
-    PointNotOnGraph,
     PointOutsideInterval,
     ValidationError,
 )
@@ -36,6 +36,7 @@ from .graph import (
     MetricGraph,
     PointSet,
     build_graph,
+    _on_graph,
     circle_circumference,
     point_set,
     region,
@@ -57,8 +58,8 @@ __all__ = [
     "grid_interval",
 ]
 
-# The most points a net, or rays a star, is built with; checked before
-# anything is allocated.
+# The most points a net or a grid, or rays a star, is built with; checked
+# before anything is allocated.
 POINT_GUARD = 2_000_000
 
 # --------------------------------------------------------------------------
@@ -259,23 +260,6 @@ def circle_six_point(
     return X, R
 
 
-def _circle_positions(X: PointSet, G: MetricGraph) -> list[float]:
-    L = circle_circumference(G)
-    loop_id = G.edge_ids[0]
-    base = G.vertices[0]
-    out = []
-    for p in X:
-        if p.vertex is not None:
-            if p.vertex != base:
-                raise PointNotOnGraph(f"point vertex {p.vertex!r} not on this circle")
-            out.append(0.0)
-        else:
-            if p.edge != loop_id:
-                raise PointNotOnGraph(f"point edge {p.edge!r} not on this circle")
-            out.append(p.offset % L)
-    return out
-
-
 def _arc_segments(lo: float, hi: float, L: float) -> list[tuple[float, float]]:
     # normalize a closed arc to non-wrapping segments inside [0, L]
     length = hi - lo
@@ -286,17 +270,15 @@ def _arc_segments(lo: float, hi: float, L: float) -> list[tuple[float, float]]:
     return [(start, L), (0.0, end - L)]
 
 
-def _segments_intersect(A: list[tuple[float, float]], B: list[tuple[float, float]]) -> bool:
-    for a1, a2 in A:
-        for b1, b2 in B:
-            if a1 <= b2 and b1 <= a2:
-                return True
-    return False
-
-
-def _circ_dist(a: float, b: float, L: float) -> float:
-    d = abs(a - b) % L
+def _circular(x: float, L: float) -> float:
+    """Distance of points an offset x apart: 0 at multiples of L, L/2 halfway."""
+    d = abs(x) % L
     return min(d, L - d)
+
+
+def _meets(a: float, a2: float, b: float, b2: float, L: float) -> bool:
+    """Whether closed arcs [a, a2] and [b, b2] meet: their offsets hold a multiple of L."""
+    return b - a2 <= L * math.floor((b2 - a) / L)
 
 
 def arc_correspondence_distortion(
@@ -304,69 +286,44 @@ def arc_correspondence_distortion(
 ) -> float:
     """Exact distortion of an arc-to-sample correspondence on a circle.
 
-    For two closed arcs, the extreme distances between their points are
-    reached either at endpoint combinations or, for the maximum, at the
-    half-circumference cap when one arc meets the antipode of the other;
-    overlap makes the minimum zero. Every case is closed-form, so the
-    supremum over the continuum is computed without discretization.
+    The offsets q - p from a point p of the arc [a, a'] to a point q of
+    the arc [b, b'] fill the interval [b - a', b' - a], and the distance
+    between p and q is a tent function of the offset: 0 at multiples of
+    the circumference L, L/2 halfway between. So the farthest pair is L/2
+    apart when the interval holds an odd multiple of L/2, the nearest pair
+    0 apart when it holds a multiple of L, and otherwise both sit at the
+    interval's ends. An arc paired with itself is the case of equal arcs.
     """
     L = circle_circumference(G)
-    theta = _circle_positions(X, G)
+    theta = _on_graph(G, X)._offset.tolist()  # 0 at the circle's one vertex
     if len(R) == 0:
         raise NotACorrespondence("no arcs")
-    half = L / 2.0
-
-    arcs: list[dict] = []
+    arcs = []
     for (lo, hi), idx in R:
         lo, hi = float(lo), float(hi)
-        if hi < lo - TOLERANCE or hi - lo > L + TOLERANCE:
+        if not -TOLERANCE <= hi - lo <= L + TOLERANCE:  # NaN and inf fail too
             raise NotACorrespondence(f"malformed arc ({lo}, {hi})")
-        if not 0 <= int(idx) < len(X):
+        if not (isinstance(idx, numbers.Integral) and 0 <= idx < len(X)):
             raise NotACorrespondence(f"arc assigned to unknown sample index {idx}")
-        length = min(max(hi - lo, 0.0), L)
-        segs = _arc_segments(lo, hi, L)
-        ends = (lo % L, hi % L)
-        arcs.append(
-            {
-                "idx": int(idx),
-                "length": length,
-                "segs": segs,
-                "anti": _arc_segments(lo + half, hi + half, L),
-                "ends": ends,
-            }
-        )
-
-    if {a["idx"] for a in arcs} != set(range(len(X))):
+        arcs.append((lo, max(lo, hi), int(idx)))  # an arc reversed within TOLERANCE is a point
+    if {idx for _, _, idx in arcs} != set(range(len(X))):
         raise NotACorrespondence("some sample index receives no arc")
-    merged: list[tuple[float, float]] = sorted(
-        seg for a in arcs for seg in a["segs"]
-    )
     reach = 0.0
-    for lo, hi in merged:
+    for lo, hi in sorted(seg for lo, hi, _ in arcs for seg in _arc_segments(lo, hi, L)):
         if lo > reach + TOLERANCE:
             raise NotACorrespondence("arcs leave part of the circle uncovered")
         reach = max(reach, hi)
     if reach < L - TOLERANCE:
         raise NotACorrespondence("arcs leave part of the circle uncovered")
-
-    worst = 0.0
-    for i, A in enumerate(arcs):
-        worst = max(worst, min(A["length"], half))  # pair of an arc with itself
-        for B in arcs[i + 1 :]:
-            c0 = _circ_dist(theta[A["idx"]], theta[B["idx"]], L)
-            if _segments_intersect(A["anti"], B["segs"]):
-                maxd = half
-            else:
-                maxd = max(
-                    _circ_dist(pa, pb, L) for pa in A["ends"] for pb in B["ends"]
-                )
-            if _segments_intersect(A["segs"], B["segs"]):
-                mind = 0.0
-            else:
-                mind = min(
-                    _circ_dist(pa, pb, L) for pa in A["ends"] for pb in B["ends"]
-                )
-            worst = max(worst, maxd - c0, c0 - mind)
+    worst, half = 0.0, L / 2.0
+    for k, (a, a2, i) in enumerate(arcs):
+        for b, b2, j in arcs[k:]:
+            # the interval's ends are the end pairs (a', b) and (a, b'), read at their positions
+            ends = (_circular(b % L - a2 % L, L), _circular(b2 % L - a % L, L))
+            far = half if _meets(a + half, a2 + half, b, b2, L) else max(ends)
+            near = 0.0 if _meets(a, a2, b, b2, L) else min(ends)
+            c = _circular(theta[i] - theta[j], L)
+            worst = max(worst, far - c, c - near)
     return worst
 
 
@@ -400,23 +357,24 @@ def epsilon_net(G: MetricGraph, eps: float) -> PointSet:
 
 def grid_coordinates(a: float, b: float, h: float) -> tuple[float, ...]:
     """Coordinates a, a+h, ... with b appended (clamped) as the last point."""
-    if not a < b:
-        raise PointOutsideInterval(f"grid needs a < b, got [{a}, {b}]")
+    if not -math.inf < a < b < math.inf:
+        raise PointOutsideInterval(f"grid needs finite a < b, got [{a}, {b}]")
     if not h > 0.0:
         raise NonPositiveEpsilon(f"grid step must be positive, got {h}")
+    points = (b - a) / h + 1.0  # the grid has at most ceil(points) points
+    if points > POINT_GUARD:
+        raise GuardExceeded(f"grid guard of {POINT_GUARD} points exceeded: {points:.3g} points")
     out = []
-    k = 0
-    while True:
-        x = a + k * h
-        if x >= b - TOLERANCE:
-            break
+    k, x = 0, float(a)  # not a + 0 * h, which is NaN for h = inf
+    while x < b - TOLERANCE:
         out.append(x)
         k += 1
+        x = a + k * h
     out.append(float(b))
     return tuple(out)
 
 
 def grid_interval(a: float, b: float, h: float) -> PointSet:
     """The grid as points on segment_graph(a, b); offsets are x - a."""
-    G = segment_graph(a, b)
-    return point_set(G, [("seg", x - a) for x in grid_coordinates(a, b, h)])
+    xs = grid_coordinates(a, b, h)
+    return point_set(segment_graph(a, b), [("seg", x - a) for x in xs])

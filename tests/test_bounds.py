@@ -36,6 +36,15 @@ def test_diameter_bound_values():
     assert gg.diameter_bound(0.0, 1.0).value == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, -3.0, math.inf, -math.inf])
+def test_diameter_bound_rejects_bad_raw_diameters(bad):
+    # a diameter is finite and >= 0; anything else made a NaN, inf or
+    # meaningless lower-bound certificate
+    for pair in ((bad, 1.0), (1.0, bad)):
+        with pytest.raises(gg.ValidationError, match="finite and >= 0"):
+            gg.diameter_bound(*pair)
+
+
 # --------------------------------------------------------------------------
 # tree theorems
 
@@ -260,6 +269,9 @@ def test_interval_errors():
             gg.interval_gh_exact(0.0, 1.0, xs)
     with pytest.raises(gg.PointOutsideInterval):
         gg.interval_gh_exact(1.0, 0.0, [0.5])
+    for a, b in ((0.0, math.inf), (-math.inf, 1.0), (math.nan, 1.0), (0.0, math.nan)):
+        with pytest.raises(gg.PointOutsideInterval, match="finite a < b"):
+            gg.interval_gh_exact(a, b, [0.5])
     with pytest.raises(gg.EmptySet):
         gg.interval_gh_exact(0.0, 1.0, [])
     # a PointSet is read on its segment graph, which must be given

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import ghgraph as gg
 
@@ -187,6 +189,92 @@ def test_arc_distortion_validation(circle):
         )
 
 
+def test_arc_distortion_rejects_unchecked_arcs(circle):
+    # an arc with a non-finite end is malformed, though a NaN end slips past
+    # the cover sweep, and an index must be an integer, not one truncated
+    X = gg.point_set(circle, [("loop", 0.5), ("loop", 3.0)])
+    for arcs in (
+        (((0.0, math.nan), 0), ((1.0, 2.0), 1)),
+        (((math.nan, 1.0), 0), ((0.0, L), 1)),
+        (((0.0, math.inf), 0), ((0.0, L), 1)),
+        (((0.0, PI), 0.9), ((PI, L), 1)),
+        (((0.0, PI), 0), ((PI, L), "1")),
+    ):
+        with pytest.raises(gg.NotACorrespondence):
+            gg.arc_correspondence_distortion(gg.ArcCorrespondence(arcs), X, circle)
+    # an index of any integer type is read as it is
+    plain = gg.ArcCorrespondence((((0.0, PI), 0), ((PI, L), 1)))
+    numpy = gg.ArcCorrespondence((((0.0, PI), np.int64(0)), ((PI, L), np.int32(1))))
+    assert gg.arc_correspondence_distortion(numpy, X, circle) == (
+        gg.arc_correspondence_distortion(plain, X, circle)
+    )
+
+
+def test_arc_distortion_reads_points_on_its_circle(circle):
+    R = gg.ArcCorrespondence((((0.0, PI), 0), ((PI, L), 1)))
+    theta = gg.theta_graph(1.0, 2.0, 3.0)
+    with pytest.raises(gg.PointNotOnGraph):
+        gg.arc_correspondence_distortion(R, gg.point_set(theta, ["p", "q"]), circle)
+    # points built on an equal circle are read at their locations
+    specs = ["o", ("loop", 2.0)]
+    copy = gg.point_set(gg.circle_graph(), specs)
+    own = gg.point_set(circle, specs)
+    assert gg.arc_correspondence_distortion(R, copy, circle) == (
+        gg.arc_correspondence_distortion(R, own, circle)
+    )
+
+
+def _tent(x):
+    d = np.abs(x) % L
+    return np.minimum(d, L - d)
+
+
+_CUT = st.floats(0.0, L, exclude_max=True) | st.sampled_from([k * L / 12 for k in range(12)])
+_SHIFT = st.floats(-L, L) | st.sampled_from([0.0, PI, L / 12])
+_GROW = st.sampled_from([0.0, 0.5]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _cut_correspondence(draw):
+    """Arcs between consecutive cuts, the last wrapping past L, all moved by
+    one shift and each lengthened by up to 1 to overlap its successor; cuts
+    on the twelfths make arcs touch antipodes. 1-6 arcs onto 1-6 points."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(1, m))
+    cuts = sorted(draw(st.lists(_CUT, min_size=m, max_size=m)))
+    shift = draw(_SHIFT)
+    ends = [e + shift for e in cuts + [cuts[0] + L]]
+    arcs = [(lo, min(hi + draw(_GROW), lo + L)) for lo, hi in zip(ends, ends[1:])]
+    extra = draw(st.lists(st.integers(0, n - 1), min_size=m - n, max_size=m - n))
+    targets = draw(st.permutations(list(range(n)) + extra))
+    pos = draw(st.lists(_CUT, min_size=n, max_size=n, unique=True))
+    return gg.ArcCorrespondence(tuple(zip(arcs, targets))), pos
+
+
+@settings(max_examples=50, deadline=None)
+@given(_cut_correspondence())
+@example(  # the distortion is L/2 only where two arcs overlap
+    (gg.ArcCorrespondence((((-1.0, 1.0), 0), ((0.9, 3.0), 1), ((3.0, 5.3), 2))), [0.0, PI, 4.1])
+)
+def test_arc_distortion_brackets_dense_sampling(case):
+    # every pair of points is within h/2 of a sampled pair on each side, so
+    # the sampled distortion undershoots the exact one by at most h
+    R, pos = case
+    circle = gg.circle_graph()
+    X = gg.point_set(circle, [("loop", t) for t in pos])
+    assume(len(X) == len(pos))  # no two positions share a canonical point
+    exact = gg.arc_correspondence_distortion(R, X, circle)
+    h = 0.025
+    s, ix = [], []
+    for (lo, hi), i in R:
+        k = max(1, math.ceil((hi - lo) / h))
+        s.append(np.linspace(lo, hi, k + 1))
+        ix.append(np.full(k + 1, i))
+    s, ix, p = np.concatenate(s), np.concatenate(ix), np.array(pos)
+    sampled = np.abs(_tent(s[:, None] - s) - _tent(p[:, None] - p)[ix[:, None], ix]).max()
+    assert sampled - TAU <= exact <= sampled + 2 * h
+
+
 def _rotated(R, X, G, shift):
     """Rotate arcs and sample points by a common shift, splitting wrapped arcs."""
     circ = gg.circle_circumference(G)
@@ -317,6 +405,20 @@ def test_grid_coordinates():
     assert gg.grid_coordinates(0.0, 1.0, 0.3) == pytest.approx(
         (0.0, 0.3, 0.6, 0.9, 1.0)
     )
+
+
+def test_grid_edge_cases():
+    # an infinite step: the first point is a itself, not a + 0 * inf = NaN
+    assert gg.grid_coordinates(0.0, 1.0, math.inf) == (0.0, 1.0)
+    for f in (gg.grid_coordinates, gg.grid_interval):
+        # a non-finite end would never be reached
+        for a, b in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+            with pytest.raises(gg.PointOutsideInterval, match="finite a < b"):
+                f(a, b, 1.0)
+        # nor would b where a + k * h rounds to a; too many points are refused unbuilt
+        for a, b, h in ((1e20, 2e20, 1.0), (0.0, 1.0, 1e-7), (0.0, 1.0, 5e-324)):
+            with pytest.raises(gg.GuardExceeded, match="grid guard"):
+                f(a, b, h)
 
 
 def test_grid_interval_matches_coordinates():

@@ -7,7 +7,8 @@ theta graph, a lollipop and a star, each with two point sets; the runs are
 
 - hausdorff and bound on every fixture, each with one and with two subsets;
 - oracle in graph mode on every fixture;
-- construct net (on the segment and the circle), star and circle6;
+- construct net (on the segment and the circle), star, and circle6 at four
+  epsilons: pi/24, 0.05, pi/12 and 0.5;
 - experiment ratio on the theta graph and the lollipop;
 - two error exits: a subset off its graph (exit 3) and a missing graph
   file (exit 2).
@@ -91,6 +92,8 @@ def cases() -> dict[str, list[str]]:
     out["net-circle"] = ["construct", "net", "--graph", "fx/circle.json", "--epsilon", "pi/6", "--out", "circ"]
     out["star"] = ["construct", "star", "--n", "4", "--out", "star4"]
     out["circle6"] = ["construct", "circle6", "--epsilon", "pi/24", "--out", "c6"]
+    for eps in ("0.05", "pi/12", "0.5"):
+        out[f"circle6-{eps}"] = ["construct", "circle6", "--epsilon", eps, "--out", f"c6-{eps.replace('/', '-')}"]
     for name in ("theta", "lollipop"):
         out[f"ratio-{name}"] = ["experiment", "ratio", "--graph", f"fx/{name}.json", "--samples", "3", "--seed", "7"]
     out["error-off-graph"] = ["hausdorff", "--graph", "fx/segment.json", "--subset", "fx/off.json"]
