@@ -197,43 +197,29 @@ class ArcCorrespondence:
         return len(self.assignments)
 
 
-def circle_six_point(
-    epsilon: float,
-    split: tuple[float, float] | None = None,
-) -> tuple[PointSet, ArcCorrespondence]:
+def circle_six_point(epsilon: float) -> tuple[PointSet, ArcCorrespondence]:
     """Six circle points with d_H = pi/3 + epsilon but d_GH = pi/3.
 
-    The points sit at cyclic gaps (pi/3, pi/3, g1, g2, 2*pi/3 + 2*epsilon,
-    pi/6 - epsilon) where g1 + g2 = pi/2 - epsilon; the returned arc
-    correspondence has distortion exactly 2*pi/3, so the GH distance is at
-    most pi/3 while the largest gap forces d_H = pi/3 + epsilon. The split
-    defaults to (pi/3, pi/6 - epsilon); both guarantees are re-measured at
-    construction time and failures raise instead of returning a bad
-    instance (most other splits fail the distortion check).
+    The points sit at cyclic gaps (pi/3, pi/3, pi/3, pi/6 - epsilon,
+    2*pi/3 + 2*epsilon, pi/6 - epsilon); the returned arc correspondence
+    has distortion exactly 2*pi/3, so the GH distance is at most pi/3 while
+    the largest gap forces d_H = pi/3 + epsilon. Both guarantees are
+    re-measured at construction time, and a failure raises instead of
+    returning a bad instance.
     """
     eps = float(epsilon)
     if not 0.0 < eps < math.pi / 6.0:
         raise EpsilonOutOfRange(
             f"epsilon must lie strictly inside (0, pi/6), got {epsilon}"
         )
-    if split is None:
-        g1, g2 = math.pi / 3.0, math.pi / 6.0 - eps
-    else:
-        g1, g2 = float(split[0]), float(split[1])
-        if g1 <= 0.0 or g2 <= 0.0:
-            raise ValidationError("both split gaps must be positive")
-        if abs((g1 + g2) - (math.pi / 2.0 - eps)) > TOLERANCE:
-            raise ValidationError(
-                "split gaps must sum to pi/2 - epsilon to close the circle"
-            )
     L = 2.0 * math.pi
     G = circle_graph(L)
 
     pos_d = 0.0
     pos_f = math.pi / 3.0
     pos_c = 2.0 * math.pi / 3.0
-    pos_e = pos_c + g1
-    pos_a = pos_e + g2
+    pos_e = pos_c + math.pi / 3.0
+    pos_a = pos_e + (math.pi / 6.0 - eps)
     pos_b = pos_a + 2.0 * math.pi / 3.0 + 2.0 * eps
     X = point_set(G, [("loop", t) for t in (pos_d, pos_f, pos_c, pos_e, pos_a, pos_b)])
     idx_d, idx_f, idx_c, idx_e, idx_a, idx_b = range(6)

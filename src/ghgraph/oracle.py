@@ -16,18 +16,19 @@ whole state is the AND of the rows along its path: the pairs still
 compatible with every one made.
 
 The least distortion t* is one of the gaps, and the search keeps a bracket
-[lo, hi] on it: lo starts at the diameter gap, hi at the better of two
-seeded map pairs. A decision search asks whether some map pair has
-distortion below t. It is a depth-first search that branches on the
-unassigned variable with the fewest compatible assignments left
-(fail-first: Haralick and Elliott, AI 1980), each count divided by the
-number of dead ends that variable has caused (dom/wdeg: Boussemart et al.,
-ECAI 2004), and it prunes a node when some variable has none left. With t
-halfway across the bracket, a "no" raises lo to the least gap at or above
-t, and a "yes" lowers hi to the distortion of the map pair found. At t*,
-the witness is fixed one variable at a time, each to its first candidate
-that some completion keeps at t*: the lexicographically first minimizer,
-whichever minimizer the decisions found.
+[lo, hi] on it: lo starts at the diameter gap, hi at the map pair that
+matches the points of X and Y by the rank of their row sums. A decision
+search asks whether some map pair has distortion below t. It is a
+depth-first search that branches on the unassigned variable with the
+fewest compatible assignments left (fail-first: Haralick and Elliott, AI
+1980), each count divided by the number of dead ends that variable has
+caused (dom/wdeg: Boussemart et al., ECAI 2004), and it prunes a node
+when some variable has none left. With t halfway across the bracket, a
+"no" raises lo to the least gap at or above t, and a "yes" lowers hi to
+the distortion of the map pair found. At t*, the witness is fixed one
+variable at a time, each to its first candidate that some completion
+keeps at t*: the lexicographically first minimizer, whichever minimizer
+the decisions found.
 
 A work guard caps the number of assignments explored, summed over every
 search; when it trips, the error carries the bracket reached.
@@ -130,13 +131,18 @@ class FiniteMetricSpace:
     def n(self) -> int:
         return self.d.shape[0]
 
-    @staticmethod
-    def from_line(xs: Iterable[float]) -> "FiniteMetricSpace":
-        """Space of points on the real line with the absolute difference metric."""
+    @classmethod
+    def from_line(cls, xs: Iterable[float]) -> "FiniteMetricSpace":
+        """Space of the distinct points on the real line, in increasing
+        order, with the metric |x - y|. That is a metric by construction,
+        so every check of construction runs but the triangle scan, which
+        could fail only through rounding against the fixed tolerance."""
         arr = np.asarray(sorted(set(float(x) for x in xs)), dtype=float)
         if arr.size == 0:
             raise EmptySet("empty coordinate list")
-        return FiniteMetricSpace(np.abs(arr[:, None] - arr[None, :]))
+        space = cls.__new__(cls)
+        space.d = _checked_axioms(np.abs(arr[:, None] - arr[None, :]))
+        return space
 
     def __repr__(self) -> str:
         return f"FiniteMetricSpace({self.n} points)"
@@ -190,25 +196,19 @@ def _gap_max(DX: np.ndarray, DY: np.ndarray, xs, ys) -> float:
 # exact Gromov-Hausdorff search
 
 
-def _seed_assignments(DX: np.ndarray, DY: np.ndarray) -> list[tuple[list[int], list[int]]]:
+def _seed_path(DX: np.ndarray, DY: np.ndarray) -> np.ndarray:
+    """The path of the row-sum rank map pair: the point of rank r in row
+    sums of X, ties by index, goes to the point of rank r*m//n of Y, and
+    the same with X and Y swapped."""
     n, m = DX.shape[0], DY.shape[0]
-    ecc_x = DX.max(axis=1)
-    ecc_y = DY.max(axis=1)
-    # argmin takes the first of tied minima
-    f1 = np.abs(ecc_y[None, :] - ecc_x[:, None]).argmin(axis=1).tolist()
-    g1 = np.abs(ecc_x[None, :] - ecc_y[:, None]).argmin(axis=1).tolist()
     # kept matrices are C-contiguous, so each sum along a row adds in the
     # order DX[i].sum() does and gives the same bits
-    sum_x, sum_y = DX.sum(axis=1).tolist(), DY.sum(axis=1).tolist()
-    order_x = sorted(range(n), key=lambda i: (sum_x[i], i))
-    order_y = sorted(range(m), key=lambda j: (sum_y[j], j))
-    f2 = [0] * n
-    for rank, i in enumerate(order_x):
-        f2[i] = order_y[min(m - 1, rank * m // n)]
-    g2 = [0] * m
-    for rank, j in enumerate(order_y):
-        g2[j] = order_x[min(n - 1, rank * n // m)]
-    return [(f1, g1), (f2, g2)]
+    order_x = np.argsort(DX.sum(axis=1), kind="stable")
+    order_y = np.argsort(DY.sum(axis=1), kind="stable")
+    f, g = np.empty(n, dtype=int), np.empty(m, dtype=int)
+    f[order_x] = order_y[np.arange(n) * m // n]
+    g[order_y] = order_x[np.arange(m) * n // m]
+    return np.concatenate([np.arange(n) * m + f, g * m + np.arange(m)])
 
 
 class _PairGaps:
@@ -294,20 +294,18 @@ def _search(X: FiniteMetricSpace, Y: FiniteMetricSpace, guard: int) -> tuple[flo
             bracket=(lo / 2.0, hi / 2.0),
         )
 
-    def path_distortion() -> float:
-        return _gap_max(DX, DY, *np.divmod(np.array(path), m))
+    def distortion_of(p: list[int]) -> float:
+        return _gap_max(DX, DY, *np.divmod(np.array(p), m))
 
     # The least distortion lies in [lo, hi]: lo is proven, hi is the
     # distortion of the map pair on the path ``best``. lo starts at the
     # diameter gap: both ends of a diameter of X are the X side of some
     # variable's pair, so some gap reads that distance against an entry of
-    # DY, and the same holds with X and Y swapped.
-    lo, hi = abs(float(DX.max()) - float(DY.max())), math.inf
-    for f, g in _seed_assignments(DX, DY):
-        path[:] = [i * m + j for i, j in enumerate(f)] + [i * m + k for k, i in enumerate(g)]
-        seeded = path_distortion()
-        if seeded < hi:
-            hi, best = seeded, path[:]
+    # DY, and the same holds with X and Y swapped. hi starts at the map
+    # pair that matches points by the rank of their row sums.
+    lo = abs(float(DX.max()) - float(DY.max()))
+    best = _seed_path(DX, DY).tolist()
+    hi = distortion_of(best)
     gaps = _PairGaps(DX, DY)
 
     def extends(C: list[int], alive: int, free: tuple[int, ...]) -> bool:
@@ -346,7 +344,7 @@ def _search(X: FiniteMetricSpace, Y: FiniteMetricSpace, guard: int) -> tuple[flo
             t = hi
         C, least = gaps.rows_below(t)
         if extends(C, full, tuple(range(depth))):
-            hi = path_distortion()
+            hi = distortion_of(path)
             best = path[:]
         else:
             lo = least

@@ -479,6 +479,65 @@ def test_exit_codes(capsys, tmp_path, seg_files):
             assert captured.err.startswith("error: experiment guard of") and captured.err.count("\n") == 1
 
 
+_EDGE = {"id": "e", "u": "a", "v": "b", "length": 1.0}
+
+
+@pytest.mark.parametrize(
+    "kind, doc, message",
+    [
+        pytest.param(
+            "graph", {"vertices": ["a", "b"], "edges": [["e", "a", "b", 1.0]]},
+            "{path}: edge entries need id, u, v, length", id="edge-not-object",
+        ),
+        pytest.param(
+            "graph", {"vertices": ["a", "b"], "edges": [{"id": "e", "u": "a", "v": "b"}]},
+            "{path}: edge entries need id, u, v, length", id="edge-without-length",
+        ),
+        pytest.param(
+            "graph", {"vertices": ["a", "b"], "edges": [dict(_EDGE, length="x")]},
+            "edge length: cannot parse 'x'", id="edge-length-token",
+        ),
+        pytest.param("subset", {"vertex": "u"}, "{path}: point set document must be a list", id="points-not-list"),
+        pytest.param("subset", ["u"], "{path}: point entries must be objects", id="point-not-object"),
+        pytest.param(
+            "subset", [{"edge": "seg"}], "{path}: point entry needs 'vertex' or 'edge'+'offset'", id="point-without-offset",
+        ),
+        pytest.param("matrix", [0.0], "{path}: matrix document needs 'n' and 'd'", id="matrix-not-object"),
+        pytest.param("matrix", {"d": [0.0]}, "{path}: matrix document needs 'n' and 'd'", id="matrix-without-n"),
+        pytest.param(
+            "matrix", {"n": 2, "d": [0.0, 1.0, 1.0]}, "{path}: 'd' must hold n*n = 4 entries", id="matrix-short",
+        ),
+        pytest.param("matrix", {"n": 0, "d": []}, "{path}: 'd' must hold n*n = 0 entries", id="matrix-empty"),
+    ],
+)
+def test_document_parse_errors(capsys, tmp_path, seg_files, kind, doc, message):
+    graph, ends, _ = seg_files
+    path = _write(tmp_path / "bad.json", doc)
+    mx = _write(tmp_path / "mx.json", {"n": 1, "d": [0.0]})
+    argv = {
+        "graph": ["hausdorff", "--graph", path, "--subset", ends],
+        "subset": ["hausdorff", "--graph", graph, "--subset", path],
+        "matrix": ["oracle", "--matrix", path, "--matrix2", mx],
+    }[kind]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(path=path)}\n"
+
+
+def test_missing_inputs_are_parse_errors(capsys, seg_files):
+    graph, ends, _ = seg_files
+    for argv, message in (
+        (["oracle", "--graph", graph, "--subset", ends], "oracle needs either --matrix/--matrix2 or --graph/--subset/--subset2"),
+        (["oracle"], "oracle needs either --matrix/--matrix2 or --graph/--subset/--subset2"),
+        (["construct", "net", "--graph", graph], "construct net needs --epsilon"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def _fresh_process(code, cwd, preexec_fn=None):
     """Run python code in a new interpreter on this checkout's package."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))

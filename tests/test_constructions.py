@@ -62,6 +62,21 @@ def test_star_counterexample_ratio():
         assert upper / lower == pytest.approx(1.0 / n, abs=TAU)
 
 
+def test_small_builders_reject_degenerate_input():
+    for a, b in ((1.0, 1.0), (2.0, 1.0)):
+        with pytest.raises(gg.ValidationError, match=r"segment needs a < b"):
+            gg.segment_graph(a, b)
+    with pytest.raises(gg.ValidationError, match="star needs at least one ray"):
+        gg.star_graph([])
+
+
+def test_region_net_rejects_nonpositive_delta():
+    T, X, _ = gg.star_counterexample(2)
+    for delta in (0.0, -0.5, math.nan):
+        with pytest.raises(gg.NonPositiveEpsilon, match="delta must be positive"):
+            gg.region_net(T, X, delta)
+
+
 def test_region_net_deterministic_and_covering():
     T, X, _ = gg.star_counterexample(4)
     a = gg.region_net(T, X, 0.1)
@@ -93,10 +108,11 @@ def test_circle_six_point_gap_structure():
     X, R = gg.circle_six_point(eps)
     offs = sorted(p.offset if p.edge else 0.0 for p in X.points)
     gaps = [b - a for a, b in zip(offs, offs[1:])] + [L - offs[-1] + offs[0]]
-    # two fixed thirds, a split pair summing to pi/2 - eps, the wide gap, the sliver
+    # three thirds, a sliver, the wide gap, the sliver
     assert gaps[0] == pytest.approx(PI / 3, abs=TAU)
     assert gaps[1] == pytest.approx(PI / 3, abs=TAU)
-    assert gaps[2] + gaps[3] == pytest.approx(PI / 2 - eps, abs=TAU)
+    assert gaps[2] == pytest.approx(PI / 3, abs=TAU)
+    assert gaps[3] == pytest.approx(PI / 6 - eps, abs=TAU)
     assert gaps[4] == pytest.approx(2 * PI / 3 + 2 * eps, abs=TAU)
     assert gaps[5] == pytest.approx(PI / 6 - eps, abs=TAU)
     arc_lengths = [hi - lo for (lo, hi), _ in R.assignments]
@@ -116,23 +132,6 @@ def test_circle_six_point_epsilon_range():
     for bad in (0.0, PI / 6, -0.2, 1.0):
         with pytest.raises(gg.EpsilonOutOfRange):
             gg.circle_six_point(bad)
-
-
-def test_circle_six_point_split_handling():
-    eps = 0.1
-    # the documented default split passes verification when given explicitly
-    explicit = gg.circle_six_point(eps, split=(PI / 3, PI / 6 - eps))
-    default = gg.circle_six_point(eps)
-    assert [p for p in explicit[0].points] == [p for p in default[0].points]
-    # the symmetric split produces a correspondence with too much distortion
-    half = (PI / 2 - eps) / 2
-    with pytest.raises(gg.ConstructionVerificationFailed):
-        gg.circle_six_point(eps, split=(half, half))
-    # malformed splits are rejected before any verification runs
-    with pytest.raises(gg.ValidationError):
-        gg.circle_six_point(eps, split=(-0.1, PI / 2 - eps + 0.1))
-    with pytest.raises(gg.ValidationError):
-        gg.circle_six_point(eps, split=(0.2, 0.2))
 
 
 def test_circle_six_point_sandwich(circle):
@@ -177,6 +176,12 @@ def test_arc_distortion_validation(circle):
         gg.arc_correspondence_distortion(
             gg.ArcCorrespondence((((0.0, PI), 0), ((PI + 0.5, L), 1))), X, circle
         )
+    with pytest.raises(gg.NotACorrespondence, match="uncovered"):  # the cover stops short of L
+        gg.arc_correspondence_distortion(
+            gg.ArcCorrespondence((((0.0, PI), 0), ((0.5, L - 0.5), 1))), X, circle
+        )
+    with pytest.raises(gg.NotACorrespondence, match="no arcs"):
+        gg.arc_correspondence_distortion(gg.ArcCorrespondence(()), X, circle)
     with pytest.raises(gg.NotACorrespondence):  # second point never used
         gg.arc_correspondence_distortion(
             gg.ArcCorrespondence((((0.0, L), 0),)), X, circle
@@ -408,6 +413,9 @@ def test_grid_coordinates():
 
 
 def test_grid_edge_cases():
+    for h in (0.0, -0.5, math.nan):
+        with pytest.raises(gg.NonPositiveEpsilon, match="grid step must be positive"):
+            gg.grid_coordinates(0.0, 1.0, h)
     # an infinite step: the first point is a itself, not a + 0 * inf = NaN
     assert gg.grid_coordinates(0.0, 1.0, math.inf) == (0.0, 1.0)
     for f in (gg.grid_coordinates, gg.grid_interval):

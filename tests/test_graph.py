@@ -218,6 +218,13 @@ def test_point_canonicalization(multi):
     assert mid.edge == "a" and mid.offset == 1.5
 
 
+def test_point_set_reads_list_specs(multi):
+    specs = [("a", 0.5), ("self", 1.25), ("spur", 0.5), "u", ("b", 0.0)]
+    as_lists = gg.point_set(multi, [list(s) if isinstance(s, tuple) else s for s in specs])
+    as_tuples = gg.point_set(multi, specs)
+    assert as_lists == as_tuples and as_lists.points == as_tuples.points
+
+
 def test_point_set_dedup_and_empty(multi):
     A = gg.point_set(multi, ["u", ("a", 0.0), ("b", 0.0), "u"])
     assert len(A.points) == 1
@@ -229,6 +236,9 @@ def test_point_set_dedup_and_empty(multi):
         gg.set_diameter(multi, empty)
     with pytest.raises(gg.EmptySet):
         gg.thickening(multi, empty, 0.5)
+    for pair in ((A, empty), (empty, A), ([], A)):
+        with pytest.raises(gg.EmptySet, match="distance against an empty point collection"):
+            gg.pairwise_distances(multi, *pair)
 
 
 # --------------------------------------------------------------------------

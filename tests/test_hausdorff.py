@@ -83,6 +83,8 @@ def test_empty_set_rejected(segment01):
         gg.hausdorff_sets(segment01, A, empty)
     with pytest.raises(gg.EmptySet):
         gg.directed_hausdorff_sets(segment01, empty, A)
+    with pytest.raises(gg.EmptySet, match="from the boundary to an empty set"):
+        gg.directed_hausdorff_boundary(segment01, empty)
 
 
 # --------------------------------------------------------------------------

@@ -82,6 +82,24 @@ def test_from_line_sorts_and_dedups():
     M = gg.FiniteMetricSpace.from_line([0.5, 0.0, 0.5])
     assert M.d.shape == (2, 2)
     assert M.d[0, 1] == pytest.approx(0.5)
+    with pytest.raises(gg.EmptySet, match="empty coordinate list"):
+        gg.FiniteMetricSpace.from_line([])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in subtract")
+def test_from_line_keeps_large_coordinates():
+    # |x - y| is a metric by construction; near 1e9 a triangle scan against
+    # the fixed tolerance rejects it through rounding alone
+    xs = [
+        477009776.55271703, 865309927.7716401, 260492310.39195943,
+        805027827.0130223, 548699303.8355893, 14041700.164018955,
+    ]
+    M = gg.FiniteMetricSpace.from_line(xs)
+    at = np.array(sorted(xs))
+    assert (M.d == np.abs(at[:, None] - at[None, :])).all()
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(gg.InvalidMetric, match="non-finite"):
+            gg.FiniteMetricSpace.from_line([0.0, bad, 1.0])
 
 
 def test_restrict_metric_values(segment01, circle):
@@ -97,6 +115,8 @@ def test_restrict_metric_values(segment01, circle):
         ]
     )
     assert np.allclose(C.d, expect, atol=TAU)
+    with pytest.raises(gg.EmptySet, match="cannot restrict the metric to an empty set"):
+        gg.restrict_metric(segment01, gg.point_set(segment01, []))
 
 
 @settings(max_examples=30, deadline=None)
@@ -133,6 +153,12 @@ def test_distortion_values():
     assert gg.distortion(R, dx, dy) == pytest.approx(1.0)
     ident = gg.Correspondence(((0, 0), (1, 1)))
     assert gg.distortion(ident, dx, dx) == 0.0
+    # any iterable of index pairs reads as the correspondence it lists
+    X = gg.FiniteMetricSpace.from_line([0.0, 1.0, 3.0])
+    Y = gg.FiniteMetricSpace.from_line([0.0, 2.0])
+    pairs = [(0, 0), (1, 0), (2, 1)]
+    assert gg.distortion(gg.Correspondence(tuple(pairs)), X, Y) == 1.0
+    assert gg.distortion(pairs, X, Y) == gg.distortion(np.array(pairs), X, Y) == 1.0
 
 
 def test_distortion_rejects_non_correspondence():
@@ -142,6 +168,8 @@ def test_distortion_rejects_non_correspondence():
         gg.distortion(gg.Correspondence(((0, 0),)), dx, dy)  # misses x1 and y1
     with pytest.raises(gg.NotACorrespondence):
         gg.distortion(gg.Correspondence(((0, 0), (1, 5))), dx, dy)  # out of range
+    with pytest.raises(gg.NotACorrespondence, match="empty relation"):
+        gg.distortion([], dx, dy)
 
 
 # --------------------------------------------------------------------------
@@ -307,7 +335,12 @@ def _cycle(k):
 @example(MX=_cycle(5), MY=_cycle(4))
 @example(MX=_cycle(4), MY=_cycle(6))
 def test_seed_assignments_match_the_row_loops(MX, MY):
-    assert gg.oracle._seed_assignments(MX.d, MY.d) == _brute._seed_assignments(MX.d, MY.d)
+    # the search seeds from the row-sum rank map pair alone, the second of
+    # the reference's two
+    _, (f, g) = _brute._seed_assignments(MX.d, MY.d)
+    m = MY.n
+    path = [i * m + j for i, j in enumerate(f)] + [i * m + k for k, i in enumerate(g)]
+    assert gg.oracle._seed_path(MX.d, MY.d).tolist() == path
 
 
 def test_gap_max_reads_the_cells_of_ix():
@@ -459,6 +492,8 @@ def test_is_isometric_backtracks_on_equal_rows():
     rook, shri = _srg_16_6_2_2(_rook), _srg_16_6_2_2(_shrikhande)
     assert (np.sort(rook.d, axis=1) == np.sort(shri.d, axis=1)[:1]).all()
     assert gg.is_isometric(rook, shri) == (False, None)
+    with pytest.raises(gg.GuardExceeded, match="isometry search exceeded 20 nodes"):
+        gg.is_isometric(rook, shri, node_guard=20)
     perm = np.random.default_rng(3).permutation(16)
     moved = gg.FiniteMetricSpace(shri.d[np.ix_(perm, perm)])
     ok, found = gg.is_isometric(shri, moved)

@@ -6,7 +6,9 @@ fixtures are a segment, a circle whose length is the token ``"2pi"``, a
 theta graph, a lollipop and a star, each with two point sets; the runs are
 
 - hausdorff and bound on every fixture, each with one and with two subsets;
-- oracle in graph mode on every fixture;
+- oracle in graph mode on every fixture, and in matrix mode on two small
+  matrices (three points of a line at spacing "pi/3", and a 4-point
+  cycle), each way round;
 - construct net (on the segment and the circle), star, and circle6 at four
   epsilons: pi/24, 0.05, pi/12 and 0.5;
 - experiment ratio on the theta graph and the lollipop;
@@ -23,6 +25,7 @@ any other.
 
 import hashlib
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -78,6 +81,11 @@ FIXTURES = {
     ),
 }
 
+MATRICES = {
+    "line3": {"n": 3, "d": [0, "pi/3", "2pi/3", "pi/3", 0, "pi/3", "2pi/3", "pi/3", 0]},
+    "cycle4": {"n": 4, "d": [0, 1, 2, 1, 1, 0, 1, 2, 2, 1, 0, 1, 1, 2, 1, 0]},
+}
+
 
 def cases() -> dict[str, list[str]]:
     """Case name -> argv, with fixture paths relative to the working directory."""
@@ -88,6 +96,8 @@ def cases() -> dict[str, list[str]]:
             out[f"{verb}-{name}-1"] = [verb, *g, *x]
             out[f"{verb}-{name}-2"] = [verb, *g, *x, *y, "--out", f"{verb}-{name}-2.json"]
         out[f"oracle-{name}"] = ["oracle", *g, *x, *y]
+    for a, b in itertools.permutations(MATRICES):
+        out[f"oracle-{a}-{b}"] = ["oracle", "--matrix", f"fx/{a}.json", "--matrix2", f"fx/{b}.json"]
     out["net-segment"] = ["construct", "net", "--graph", "fx/segment.json", "--epsilon", "0.25", "--out", "seg"]
     out["net-circle"] = ["construct", "net", "--graph", "fx/circle.json", "--epsilon", "pi/6", "--out", "circ"]
     out["star"] = ["construct", "star", "--n", "4", "--out", "star4"]
@@ -112,6 +122,8 @@ def write_fixtures(root: Path) -> None:
     for name, (graph, x, y) in FIXTURES.items():
         for suffix, doc in (("", graph), ("-x", x), ("-y", y)):
             (fx / f"{name}{suffix}.json").write_text(json.dumps(doc))
+    for name, doc in MATRICES.items():
+        (fx / f"{name}.json").write_text(json.dumps(doc))
     (fx / "off.json").write_text(json.dumps([{"edge": "nope", "offset": 0.5}]))
 
 
