@@ -37,10 +37,19 @@ from .errors import (
 
 TOLERANCE = 1e-9
 
-# Distance searches on a graph of at most this many vertices run by one
-# numpy relaxation kernel; on a larger one, scipy runs them and is imported
-# then.
+# The dense vertex matrix of a graph of at most this many vertices comes
+# from the numpy relaxation kernel; on a larger one scipy computes it and is
+# imported then.
 _SMALL_GRAPH = 64
+
+# A distance field relaxes for at most this many rounds; if entries still
+# fall after them, scipy searches the field from its original start values.
+# A round costs about a fifth of scipy's search on random multigraphs of 500
+# to 20000 vertices, a third on a 2000-vertex path and a sixteenth below 64
+# vertices. The fields of the benchmark's field and certify workloads settle
+# within 4 rounds, and the 8 rounds spent before a fallback cost two to three
+# scipy searches at field scale.
+_FIELD_ROUNDS = 8
 
 __all__ = [
     "TOLERANCE",
@@ -231,30 +240,44 @@ def _raise_for_edges(vindex: dict[str, int], edges: list) -> None:
     raise ValidationError("edge list rejected")
 
 
-# Vertex searches. Connectivity is counted by union-find at every size.
-# Distances on a graph of at most _SMALL_GRAPH vertices come from one
-# kernel, _relaxed, which lowers a table of start values with a column per
-# search: the identity table for the dense matrix, one column of start
-# values for a distance field. On a larger graph scipy searches. Lengths are
-# positive and float addition rounds monotonically, so every correct
-# label-correcting search ends at the least left-to-right sum of lengths
-# over paths, and the two paths agree bit for bit.
+# Vertex searches. Distances come from one kernel, _relaxed, which lowers a
+# table of start values with a column per search: the identity table for the
+# dense matrix of a graph of at most _SMALL_GRAPH vertices, one flat column
+# of start values for a distance field at every size. A field that has not
+# settled after _FIELD_ROUNDS rounds, and the dense matrix of a larger graph,
+# are searched by scipy. Lengths are positive and float addition rounds
+# monotonically, so every correct label-correcting search ends at the least
+# left-to-right sum of lengths over paths, and the two agree bit for bit.
+# Connectivity is counted on arrays at every size.
 
 
 def _component_count(n: int, a, b) -> int:
-    """Connected components of the graph on nodes 0..n-1 with links a[i]-b[i],
-    by union-find."""
-    root = list(range(n))
-    count = n
-    for x, y in zip(a.tolist(), b.tolist()):
-        while root[x] != x:
-            root[x] = x = root[root[x]]
-        while root[y] != y:
-            root[y] = y = root[root[y]]
-        if x != y:
-            root[x] = y
-            count -= 1
-    return count
+    """Connected components of the graph on nodes 0..n-1 with links a[i]-b[i].
+
+    Each round hooks every node on a link to its least neighbour, if that is
+    smaller, and counts one merge per hook. A node is one step from the root
+    of the round before, and that root is at most one step per hook from
+    its new root, so with h hooks, h.bit_length() pointer jumps point every
+    node at its root; the links then join roots. A root on a link that
+    neither hooked nor was hooked to had only larger neighbours, which all
+    hooked to smaller roots, so it hooks in the next round. Over two rounds,
+    then, the roots on links at least halve: at most 2 log2(n) + 1 rounds.
+    """
+    count, parent = n, np.arange(n)
+    while True:
+        link = a != b
+        a, b = a[link], b[link]
+        if not len(a):
+            return count
+        hooked = parent.copy()
+        np.minimum.at(hooked, a, b)
+        np.minimum.at(hooked, b, a)
+        hooks = int(np.count_nonzero(hooked != parent))
+        count -= hooks
+        parent = hooked
+        for _ in range(hooks.bit_length()):
+            parent = parent[parent]
+        a, b = parent[a], parent[b]
 
 
 def _csr(indptr, indices, data):
@@ -265,19 +288,25 @@ def _csr(indptr, indices, data):
     return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def _relaxed(skeleton, X) -> np.ndarray:
+def _relaxed(skeleton, X, rounds: float = math.inf) -> np.ndarray | None:
     """Lower the start table X in place, by relaxing every column at once,
-    and return it.
+    and return it; None if entries still fall after ``rounds`` rounds.
 
-    X has a row per vertex and a column per search. Each round lowers row w
-    to X[w'] + l over the skeleton links w' -> w of length l, reduced over
-    w's link list, until no entry falls; X[w, j] then is the least start
-    X[x, j] plus the lengths along a path from x to w. The rounds are one
-    per link of the longest such path.
+    X has a row per vertex and a column per search, or is one flat column.
+    Each round lowers row w to X[w'] + l over the skeleton links w' -> w of
+    length l, reduced over w's link list, until no entry falls; X[w, j] then
+    is the least start X[x, j] plus the lengths along a path from x to w.
+    The rounds are one per link of the longest such path, counted in links
+    from the start values, so a few for a dense set and one per edge for a
+    path searched from one end.
     """
     indptr, indices, data = skeleton
     if len(indptr) > 2:  # connected, so every vertex has a link and no link list is empty
-        while ((low := np.minimum.reduceat(X[indices] + data[:, None], indptr[:-1], axis=0)) < X).any():
+        lengths = data if X.ndim == 1 else data[:, None]
+        while ((low := np.minimum.reduceat(X[indices] + lengths, indptr[:-1], axis=0)) < X).any():
+            if rounds <= 0:
+                return None
+            rounds -= 1
             np.minimum(X, low, out=X)
     return X
 
@@ -576,7 +605,7 @@ def point_distance(G: MetricGraph, p: GraphPoint, q: GraphPoint) -> float:
 
 # A whole set A is reached through its distance field d(w, A) over the
 # vertices w, from one search that starts every vertex at its start value
-# (a one-column table for _relaxed, a virtual source row for scipy). Each
+# (one flat column for _relaxed, a virtual source row for scipy). Each
 # endpoint x of an edge holding members of A starts at the shortest walk
 # along those edges from A to x (the shorter arc on a self-loop); vertex
 # members start at 0; every other vertex starts at infinity.
@@ -591,7 +620,8 @@ def _distance_field(G: MetricGraph, a_idx, b_idx, off_a, off_b) -> np.ndarray:
     walk = np.full(n, np.inf)
     np.minimum.at(walk, a_idx, off_a)
     np.minimum.at(walk, b_idx, off_b)
-    return _relaxed(G._skeleton, walk[:, None])[:, 0] if n <= _SMALL_GRAPH else _sparse_field(G._skeleton, walk)
+    field = _relaxed(G._skeleton, walk.copy(), _FIELD_ROUNDS)
+    return _sparse_field(G._skeleton, walk) if field is None else field
 
 
 def _sparse_field(skeleton, walk) -> np.ndarray:

@@ -140,6 +140,8 @@ class FiniteMetricSpace:
         arr = np.asarray(sorted(set(float(x) for x in xs)), dtype=float)
         if arr.size == 0:
             raise EmptySet("empty coordinate list")
+        if not np.isfinite(arr).all():  # before inf - inf reaches the matrix
+            raise InvalidMetric("distance matrix has non-finite entries")
         space = cls.__new__(cls)
         space.d = _checked_axioms(np.abs(arr[:, None] - arr[None, :]))
         return space

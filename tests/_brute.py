@@ -12,9 +12,11 @@ graph's own multi-source distance field, so it checks the envelope, not the
 field. The set-to-set reference takes each query point's distance on its
 own, from the same field. The point-set and thickening references are the
 per-spec ``edge_point`` loop and the per-edge interval merge; a thickening
-is a plain record of interval and vertex ids. The region connectivity
-reference is a union-find over intervals and vertices, and the interval GH
-reference takes the supremum on a one-edge graph over the subset's span.
+is a plain record of interval and vertex ids. The component count
+reference is the union-find over vertex indices that the array label
+hooking replaced. The region connectivity reference is a union-find over
+intervals and vertices, and the interval GH reference takes the supremum
+on a one-edge graph over the subset's span.
 The exact GH search reference is the float forward-check search the
 pair-bitmask search replaced; it walks the same tree and counts the same
 assignments. The graph build reference is the per-edge validation and
@@ -502,6 +504,26 @@ def thickening(G, A, r):
         if merged:
             intervals[e.id] = merged
     return Region(intervals, vertices)
+
+
+# --------------------------------------------------------------------------
+# component count: the union-find with path halving that the array label
+# hooking replaced, frozen as its reference
+
+
+def component_count(n, a, b):
+    """Connected components of the graph on nodes 0..n-1 with links a[i]-b[i]."""
+    root = list(range(n))
+    count = n
+    for x, y in zip(a, b):
+        while root[x] != x:
+            root[x] = x = root[root[x]]
+        while root[y] != y:
+            root[y] = y = root[root[y]]
+        if x != y:
+            root[x] = y
+            count -= 1
+    return count
 
 
 # --------------------------------------------------------------------------

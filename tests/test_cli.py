@@ -547,18 +547,38 @@ def _fresh_process(code, cwd, preexec_fn=None):
     )
 
 
+def _field_scale_files(tmp_path):
+    """A random multigraph with 2000 vertices and 4000 edges (self-loops and
+    parallel edges allowed) and a set of 2000 points on it, as in the field
+    workload, written as graph and subset documents."""
+    rng = random.Random(0)
+    V = 2000
+    ends = [(i, rng.randrange(i)) for i in range(1, V)]
+    ends += [(rng.randrange(V), rng.randrange(V)) for _ in range(2 * V - len(ends))]
+    edges = [{"id": f"e{k}", "u": f"v{a}", "v": f"v{b}", "length": rng.uniform(0.1, 1.0)} for k, (a, b) in enumerate(ends)]
+    points = [{"edge": e["id"], "offset": rng.uniform(0.0, e["length"])} for e in rng.choices(edges, k=2000)]
+    graph = _write(tmp_path / "field.json", {"vertices": [f"v{i}" for i in range(V)], "edges": edges})
+    return graph, _write(tmp_path / "points.json", points)
+
+
 @pytest.mark.parametrize(
-    "case", ["import", "hausdorff", "bound-one-subset", "bound-two-subsets", "oracle", "construct-net", "large-graph"]
+    "case",
+    ["import", "hausdorff", "bound-one-subset", "bound-two-subsets", "oracle", "construct-net", "field-scale", "large-graph"],
 )
 def test_scipy_is_imported_for_large_graphs_only(seg_files, tmp_path, case):
-    # every vertex search on the small fixtures runs without scipy; on a
-    # path with one vertex more than the small-graph limit, scipy runs them
+    # every distance field that settles within the round budget runs without
+    # scipy: the small fixtures' and a 2000-point set's on a 2000-vertex
+    # multigraph. A field searched from one end of a 2000-vertex path needs
+    # a round per edge, so scipy searches it, with the values the
+    # relaxation reaches when run to the end
     graph, ends, mid = seg_files
-    n = graph_mod._SMALL_GRAPH + 1
+    n = 2000
     path = {
         "vertices": [f"v{i}" for i in range(n)],
         "edges": [{"id": f"e{i}", "u": f"v{i}", "v": f"v{i + 1}", "length": 1.0} for i in range(n - 1)],
     }
+    path, end = _write(tmp_path / "path.json", path), _write(tmp_path / "v0.json", [{"vertex": "v0"}])
+    field_graph, field_points = _field_scale_files(tmp_path)
     argv = {
         "import": None,
         "hausdorff": ["hausdorff", "--graph", graph, "--subset", ends],
@@ -566,15 +586,26 @@ def test_scipy_is_imported_for_large_graphs_only(seg_files, tmp_path, case):
         "bound-two-subsets": ["bound", "--graph", graph, "--subset", ends, "--subset2", mid],
         "oracle": ["oracle", "--graph", graph, "--subset", ends, "--subset2", mid],
         "construct-net": ["construct", "net", "--graph", graph, "--epsilon", "0.25", "--out", "n"],
-        "large-graph": [
-            "hausdorff", "--graph", _write(tmp_path / "path.json", path),
-            "--subset", _write(tmp_path / "v0.json", [{"vertex": "v0"}]),
-        ],
+        "field-scale": ["hausdorff", "--graph", field_graph, "--subset", field_points],
+        "large-graph": ["hausdorff", "--graph", path, "--subset", end],
     }[case]
     code = "import sys, ghgraph, ghgraph.cli\n"
     if argv is not None:
         code += f"assert ghgraph.cli.main({argv!r}) == 0\n"
-    code += "print('scipy' in sys.modules)"
+    code += "print('scipy' in sys.modules)\n"
+    if case == "large-graph":  # the field scipy searched, against the relaxation run to the end
+        code += (
+            "import math, numpy as np\n"
+            "from ghgraph import graph\n"
+            f"G = ghgraph.cli.load_graph({path!r})\n"
+            f"A = ghgraph.cli.load_subset({end!r}, G)\n"
+            "searched, sparse_field = [], graph._sparse_field\n"
+            "graph._sparse_field = lambda *args: searched.append(1) or sparse_field(*args)\n"
+            "field = A._distances\n"
+            "graph._FIELD_ROUNDS = math.inf\n"
+            "relaxed = graph._distance_field(G, *graph._anchors(A))\n"
+            f"assert searched == [1] and np.array_equal(field, relaxed) and np.array_equal(field, np.arange({n}.0))\n"
+        )
     done = _fresh_process(code, tmp_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == str(case == "large-graph")

@@ -155,8 +155,8 @@ _PATH = (list("abcdefgh"), [(f"e{k}", u, w, math.pi / 7) for k, (u, w) in enumer
 @example(_PATH)  # the relaxation takes a round per edge
 @example((["o"], []))
 def test_build_graph_decides_and_measures_as_scipy_does(graph):
-    # the union-find accepts and rejects as scipy's components do, with the
-    # same error, and the small-graph matrix is scipy's Dijkstra's bit for bit
+    # the component count accepts and rejects as scipy's components do, with
+    # the same error, and the small-graph matrix is scipy's Dijkstra's bit for bit
     vertices, edges = graph
     error = _error(lambda: gg.build_graph(vertices, edges))
     assert error == _error(lambda: _brute.build_graph(vertices, edges))
@@ -165,6 +165,49 @@ def test_build_graph_decides_and_measures_as_scipy_does(graph):
         n = len(vertices)  # the identity table, a column per source
         X = graph_mod._relaxed(S, np.where(np.eye(n, dtype=bool), 0.0, np.inf))
         assert np.array_equal(X.T, graph_mod._sparse_distances(S))
+
+
+@st.composite
+def _link_part(draw):
+    """A path, a star or free links (self-loops and parallel links among
+    them) on nodes 0..V-1, relabelled by a permutation."""
+    V = draw(st.integers(1, 40))
+    shape = draw(st.sampled_from(["path", "star", "links"]))
+    if shape == "path":
+        ends = [(i, i + 1) for i in range(V - 1)]
+    elif shape == "star":
+        ends = [(0, i) for i in range(1, V)]
+    else:
+        ends = draw(st.lists(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)), max_size=2 * V))
+    label = draw(st.permutations(range(V)))
+    return V, [(label[a], label[b]) for a, b in ends]
+
+
+@st.composite
+def _link_lists(draw):
+    """The disjoint union of one to four parts, relabelled, with its links
+    shuffled and each turned either way round."""
+    n, links = 0, []
+    for V, ends in draw(st.lists(_link_part(), min_size=1, max_size=4)):
+        links += [(a + n, b + n) for a, b in ends]
+        n += V
+    label = draw(st.permutations(range(n)))
+    links = [(label[a], label[b])[:: draw(st.sampled_from([1, -1]))] for a, b in links]
+    return n, draw(st.permutations(links))
+
+
+_LONG_RELABELLED_PATH = np.random.default_rng(0).permutation(20000)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_link_lists())
+@example((1, []))  # one node, no link
+@example((64, [(63, i) for i in range(63)]))  # a star centred on the highest label
+@example((20000, list(zip(_LONG_RELABELLED_PATH[:-1].tolist(), _LONG_RELABELLED_PATH[1:].tolist()))))
+def test_component_count_matches_union_find(graph):
+    n, links = graph
+    a, b = (np.array([link[k] for link in links], dtype=np.int64) for k in (0, 1))
+    assert graph_mod._component_count(n, a, b) == _brute.component_count(n, a.tolist(), b.tolist())
 
 
 _GOOD_EDGES = [(f"e{k}", "abcdef"[k % 6], "abcdef"[(k + 1) % 6], 0.5 + k % 4) for k in range(40)]

@@ -400,8 +400,9 @@ def _set_queries(G, A, B):
 
 
 def _long_path():
-    # the deepest graph the small path takes: 64 vertices in a row, one
-    # source at each end, so the relaxation runs a round per edge
+    # 64 vertices in a row, one source at each end: the relaxation needs a
+    # round per edge, far more than the round budget, so scipy searches the
+    # fields unless the budget is lifted
     G = gg.build_graph([f"v{i}" for i in range(64)], [(f"e{i}", f"v{i}", f"v{i + 1}", 1.0) for i in range(63)])
     return G, gg.point_set(G, ["v0"]), gg.point_set(G, ["v63"])
 
@@ -414,9 +415,21 @@ def test_distance_field_matches_dense_kernel(case):
     verts = [gg.vertex_point(G, v) for v in G.vertices]
     field = A._distances
     assert field == pytest.approx(gg.pairwise_distances(G, verts, A).min(axis=1), rel=1e-12)
-    # the small-graph search and scipy's agree bit for bit
-    with mock.patch.object(graph_mod, "_SMALL_GRAPH", 0):
-        assert np.array_equal(graph_mod._distance_field(G, *graph_mod._anchors(A)), field)
+    # the relaxation and scipy's search agree bit for bit: with no round to
+    # spend, a field other than its start values goes to scipy; with no
+    # limit, none does
+    anchors = graph_mod._anchors(A)
+    start = np.full(len(G.vertices), np.inf)
+    np.minimum.at(start, anchors[0], anchors[2])
+    np.minimum.at(start, anchors[1], anchors[3])
+    settled = np.array_equal(start, field)
+    for rounds in (0, math.inf):
+        with (
+            mock.patch.object(graph_mod, "_FIELD_ROUNDS", rounds),
+            mock.patch.object(graph_mod, "_sparse_field", wraps=graph_mod._sparse_field) as sparse,
+        ):
+            assert np.array_equal(graph_mod._distance_field(G, *anchors), field)
+        assert sparse.called == (rounds == 0 and not settled)
     P = gg.pairwise_distances(G, A, B)
     assert gg.directed_hausdorff_sets(G, A, B) == pytest.approx(P.min(axis=1).max(), rel=1e-12)
     assert gg.directed_hausdorff_sets(G, B, A) == pytest.approx(P.min(axis=0).max(), rel=1e-12)

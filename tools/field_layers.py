@@ -15,12 +15,13 @@ by ``bench/workloads.edge_points`` and times, per call:
 The graphs are the seed-0 ``bench/workloads.random_multigraph`` graphs with
 V = 500, 1000 and 2000 and E = 2V, each with 2000 points per set, as in the
 field workload, and one 60-edge graph (V = 30) with 60 points per set, the
-size of the certify workload's middle family. The last graph is a path of
-64 unit edges with one point in each set, at opposite ends: the deepest
-graph that the small-graph relaxation searches, one round per edge, so its
-row shows that kernel's worst case. Each time is the best, over
-``--repeat`` rounds, of the mean of enough back-to-back calls to fill about
-20 ms.
+size of the certify workload's middle family. The last two graphs are paths
+of 63 and 1999 unit edges with one point in each set, at opposite ends. A
+field searched from one end of a path needs a relaxation round per edge,
+far more than the round budget, so these rows show what a field costs when
+the budget runs out and scipy searches it after the rounds spent; the
+1999-edge path is at field scale. Each time is the best, over ``--repeat``
+rounds, of the mean of enough back-to-back calls to fill about 20 ms.
 
 A point set keeps its distance field once it has been measured, so every
 timed call of the three layers that read a set's field gets fresh copies of
@@ -51,6 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CASES = ((500, 1000, 2000), (1000, 2000, 2000), (2000, 4000, 2000), (30, 60, 60))
+PATHS = (64, 2000)
 RADIUS = 0.25
 LAYERS = (
     "build_graph",
@@ -103,8 +105,10 @@ def run(src: str, repeat: int) -> None:
             rng = random.Random(0)
             vertices, edges = random_multigraph(rng, V, E)
             yield f"V={V} E={E} points={k}", vertices, edges, edge_points(rng, edges, k), edge_points(rng, edges, k)
-        vertices, edges = [f"v{i}" for i in range(64)], [(f"e{i}", f"v{i}", f"v{i + 1}", 1.0) for i in range(63)]
-        yield "path V=64 E=63 points=1, at opposite ends", vertices, edges, [("e0", 0.0)], [("e62", 1.0)]
+        for V in PATHS:
+            vertices = [f"v{i}" for i in range(V)]
+            edges = [(f"e{i}", f"v{i}", f"v{i + 1}", 1.0) for i in range(V - 1)]
+            yield f"path V={V} E={V - 1} points=1, at opposite ends", vertices, edges, [("e0", 0.0)], [(f"e{V - 2}", 1.0)]
 
     for case, vertices, edges, a, b in cases():
         G = gg.build_graph(vertices, edges)
