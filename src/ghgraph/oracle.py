@@ -11,9 +11,10 @@ is the pair (i, k). The variables come in the order f(0), ..., f(n-1),
 g(0), ..., g(m-1), and a map pair's distortion is the largest gap
 |d_X - d_Y| between the pairs of two variables. Two pairs are compatible
 under a threshold when their gap is below it, and the table of compatible
-pairs is held as one int per pair, with one bit per pair. A search node's
-whole state is the AND of the rows along its path: the pairs still
-compatible with every one made.
+pairs is held as one int per pair, with one bit per pair, read from the
+comparison's packed bits as 64-bit words. A search node's whole state is
+the AND of the rows along its path: the pairs still compatible with every
+one made.
 
 The least distortion t* is one of the gaps, and the search keeps a bracket
 [lo, hi] on it: lo starts at the diameter gap, hi at the map pair that
@@ -224,7 +225,10 @@ class _PairGaps:
     larger one is computed again, block by block, for every threshold, so
     no float array of all (nm)^2 gaps is ever held. A kept table also keeps
     its gaps sorted, so the least gap at or above a threshold comes from
-    one binary search instead of a scan of the whole table.
+    one binary search instead of a scan of the whole table. Either way a
+    block's comparison with the threshold is written into one boolean
+    buffer, allocated with the table, whose n*m columns are padded with
+    zeros to whole 64-bit words, and each row is read from its words.
     """
 
     def __init__(self, DX: np.ndarray, DY: np.ndarray):
@@ -236,6 +240,8 @@ class _PairGaps:
             self.sorted = np.sort(self.kept, axis=None)
         else:
             self.kept = None
+        # a shorter last block uses the buffer's first rows
+        self.ok = np.zeros((min(self.step, n) * m, -(-n * m // 64) * 64), dtype=bool)
 
     def _blocks(self):
         DX, DY = self.DX, self.DY
@@ -252,21 +258,28 @@ class _PairGaps:
         if self.kept is not None:
             at = int(np.searchsorted(self.sorted, t))
             least = float(self.sorted[at]) if at < self.sorted.size else math.inf
-            return _bit_rows(self.kept < t), least
+            return self._rows(self.kept, t), least
         rows: list[int] = []
         least = math.inf
         for gaps in self._blocks():
-            rows += _bit_rows(gaps < t)
+            rows += self._rows(gaps, t)
             least = min(least, float(gaps.min(where=gaps >= t, initial=math.inf)))
         return rows, least
 
+    def _rows(self, gaps: np.ndarray, t: float) -> list[int]:
+        ok = self.ok[: gaps.shape[0]]
+        np.less(gaps, t, out=ok[:, : gaps.shape[1]])
+        return _word_rows(ok)
 
-def _bit_rows(ok: np.ndarray) -> list[int]:
-    """Each row of a boolean array as one int, bit q for column q."""
-    raw = np.packbits(ok, axis=1, bitorder="little")
-    width = raw.shape[1]
-    raw = raw.tobytes()
-    return [int.from_bytes(raw[r * width : (r + 1) * width], "little") for r in range(ok.shape[0])]
+
+def _word_rows(ok: np.ndarray) -> list[int]:
+    """Each row of a boolean array as one int, bit q for column q. The width
+    must be a multiple of 64: a row is read as 64-bit words, low word first."""
+    words = np.packbits(ok, axis=1, bitorder="little").view("<u8")
+    rows = words[:, 0].tolist()
+    for k in range(1, words.shape[1]):
+        rows = [row | word << (64 * k) for row, word in zip(rows, words[:, k].tolist())]
+    return rows
 
 
 def _search(X: FiniteMetricSpace, Y: FiniteMetricSpace, guard: int) -> tuple[float, list[int], int]:
@@ -318,15 +331,15 @@ def _search(X: FiniteMetricSpace, Y: FiniteMetricSpace, guard: int) -> tuple[flo
         if not free:
             return True
         fewest = math.inf
-        for at, w in enumerate(free):
+        for w in free:
             count = (alive & masks[w]).bit_count()
             if not count:
                 weight[w] += 1
                 return False
             if count < fewest * weight[w]:
-                fewest, pick = count / weight[w], at
-        v = free[pick]
-        rest = free[:pick] + free[pick + 1 :]
+                fewest, v = count / weight[w], w
+        at = free.index(v)
+        rest = free[:at] + free[at + 1 :]
         cand = alive & masks[v]
         while cand:
             low = cand & -cand

@@ -19,7 +19,9 @@ intervals and vertices, and the interval GH reference takes the supremum
 on a one-edge graph over the subset's span.
 The exact GH search reference is the float forward-check search the
 pair-bitmask search replaced; it walks the same tree and counts the same
-assignments. The graph build reference is the per-edge validation and
+assignments. The compatibility row reference reads each row of a boolean
+table from its packed bytes, one ``int.from_bytes`` per row, as the search
+did before it read rows as 64-bit words. The graph build reference is the per-edge validation and
 skeleton loop that made one ``Edge`` per edge, before the graph was stored
 as columns; the skeleton reference is the 3-key ``lexsort`` that kept the
 shortest parallel edge before one integer key was sorted. The experiment's
@@ -617,6 +619,14 @@ def _seed_assignments(DX, DY):
     for rank, j in enumerate(order_y):
         g2[j] = order_x[min(n - 1, rank * n // m)]
     return [(f1, g1), (f2, g2)]
+
+
+def bit_rows(ok):
+    """Each row of a boolean array as one int, bit q for column q."""
+    raw = np.packbits(ok, axis=1, bitorder="little")
+    width = raw.shape[1]
+    raw = raw.tobytes()
+    return [int.from_bytes(raw[r * width : (r + 1) * width], "little") for r in range(ok.shape[0])]
 
 
 def gh_forward_check(DXa, DYa):

@@ -324,6 +324,22 @@ def test_gh_matches_forward_check_reference_on_star(monkeypatch, block_cells):
     assert _assert_same_search(_space(G, X), _space(G, Y)) == 294
 
 
+@pytest.mark.parametrize("block_cells", [None, 1])
+def test_gh_matches_forward_check_reference_on_two_word_rows(monkeypatch, block_cells):
+    # pair 30 of the benchmark panel: 81 pairs, so each compatibility row
+    # spans two 64-bit words
+    if block_cells is not None:
+        monkeypatch.setattr(gg.oracle, "_PAIR_BLOCK_CELLS", block_cells)
+    G = gg.theta_graph(3.0, 4.0, 5.0)
+    X = [("e3", 3.1500511914718334), ("e1", 2.357401143326462), ("e2", 0.7846338139687944),
+         ("e2", 1.694293225565246), ("e1", 2.6583933564062545), ("e1", 0.22294444525289156),
+         ("e2", 0.3545672901237517), ("e1", 2.109134207741312), ("e2", 2.852262142449449)]
+    Y = [("e2", 0.47455642383577595), ("e3", 0.4183994694786627), ("e2", 3.4838844600204366),
+         ("e1", 0.40801426963835674), ("e3", 4.609814680170696), ("e2", 1.4727136231868738),
+         ("e1", 2.9029281807199445), ("e3", 1.647631276834344), ("e3", 1.7843181808228556)]
+    assert _assert_same_search(_space(G, X), _space(G, Y)) == 1150
+
+
 def _cycle(k):
     # k evenly spaced points on a circle of circumference k: every
     # eccentricity and every row sum tie, exactly
@@ -380,6 +396,27 @@ def test_rows_below_on_kept_and_blocked_tables(MX, MY):
         least = min((g for row in gaps for g in row if g >= t), default=math.inf)
         assert kept.rows_below(t) == (rows, least)
         assert blocked.rows_below(t) == (rows, least)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.integers(1, 40), width=st.integers(1, 200), seed=st.integers(0, 2**32 - 1),
+       share=st.sampled_from([0.0, 0.03, 0.5, 0.97, 1.0]))
+@example(rows=3, width=1, seed=0, share=0.5)
+@example(rows=3, width=63, seed=1, share=0.5)
+@example(rows=3, width=64, seed=2, share=0.5)
+@example(rows=3, width=65, seed=3, share=0.5)
+@example(rows=3, width=127, seed=4, share=0.5)
+@example(rows=3, width=128, seed=5, share=0.5)
+@example(rows=3, width=129, seed=6, share=0.5)
+@example(rows=3, width=200, seed=7, share=0.5)
+@example(rows=2, width=200, seed=8, share=1.0)
+def test_word_rows_match_byte_rows(rows, width, seed, share):
+    # the table padded with zero columns to whole 64-bit words, as
+    # _PairGaps holds it, against the one int.from_bytes per row it replaced
+    ok = np.random.default_rng(seed).random((rows, width)) < share
+    buf = np.zeros((rows, -(-width // 64) * 64), dtype=bool)
+    buf[:, :width] = ok
+    assert gg.oracle._word_rows(buf) == _brute.bit_rows(ok)
 
 
 @settings(max_examples=60, deadline=None)
