@@ -849,52 +849,34 @@ def enumerate_simple_loops(G: MetricGraph, max_loops: int = 10000) -> tuple[Simp
     vertices with three parallel edges yields three loops. Raises
     LoopCountGuardExceeded when more than ``max_loops`` loops would be built.
     """
-    loops: list[SimpleLoop] = []
-
-    def push(steps, length):
-        loops.append(SimpleLoop.make(steps, length))
-        if len(loops) > max_loops:
-            raise LoopCountGuardExceeded(
-                f"more than {max_loops} simple loops; raise max_loops to continue"
-            )
-
     ids, us, vs, ls = G.edge_ids, G.edge_u.tolist(), G.edge_v.tolist(), G.edge_length.tolist()
-    by_pair: dict[tuple[int, int], list[int]] = {}
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in G.vertices]
     for k, (i, j) in enumerate(zip(us, vs)):
-        if i == j:
-            push([(ids[k], 1)], ls[k])
-        else:
-            by_pair.setdefault((min(i, j), max(i, j)), []).append(k)
+        adj[i].append((k, 1, j))
+        if i != j:
+            adj[j].append((k, -1, i))
 
-    # two parallel edges bound a loop: out along e1, back along e2
-    for (i, _), group in by_pair.items():
-        for e1, e2 in itertools.combinations(group, 2):
-            push([(ids[e1], 1 if us[e1] == i else -1), (ids[e2], -1 if us[e2] == i else 1)], ls[e1] + ls[e2])
-
-    # vertex-simple cycles on >= 3 vertices over the skeleton, whose rows
-    # list each neighbour once, expanded over every choice of parallel edge
-    # per hop; the search order is free, since the loops are sorted at the end
-    indptr, indices, _ = G._skeleton
-
-    def expand_cycle(cycle: list[int]) -> None:
-        hops = [
-            [(k, 1 if us[k] == a else -1) for k in by_pair[min(a, b), max(a, b)]]
-            for a, b in zip(cycle, cycle[1:] + cycle[:1])
-        ]
-        for combo in itertools.product(*hops):
-            push([(ids[k], d) for k, d in combo], sum(ls[k] for k, d in combo))
-
+    # a search from each loop's least vertex through higher vertices not yet
+    # on the path; an edge back to the start closes a loop, kept once: a
+    # self-loop always, a parallel pair with its lower edge out, a longer
+    # cycle in the direction whose second vertex is below its last
+    loops: list[SimpleLoop] = []
     for start in range(len(G.vertices)):
-        stack: list[tuple[list[int], set[int]]] = [([start], {start})]
+        stack: list[tuple[list[int], list[tuple[int, int]]]] = [([start], [])]
         while stack:
-            path, used = stack.pop()
-            last = path[-1]
-            for nxt in indices[indptr[last] : indptr[last + 1]].tolist():
-                if nxt == start and len(path) >= 3:
-                    if path[1] < path[-1]:  # one orientation per cycle
-                        expand_cycle(path)
-                elif nxt > start and nxt not in used:
-                    stack.append((path + [nxt], used | {nxt}))
+            path, steps = stack.pop()
+            x = path[-1]
+            for k, d, w in adj[x]:
+                if w == start:
+                    if not steps or (steps[0][0] < k if len(steps) == 1 else path[1] < x):
+                        hops = steps + [(k, d)]
+                        loops.append(SimpleLoop.make([(ids[e], s) for e, s in hops], sum(ls[e] for e, _ in hops)))
+                        if len(loops) > max_loops:
+                            raise LoopCountGuardExceeded(
+                                f"more than {max_loops} simple loops; raise max_loops to continue"
+                            )
+                elif w > start and w not in path:
+                    stack.append((path + [w], steps + [(k, d)]))
 
     loops.sort(key=lambda lp: (lp.length, lp.steps))
     return tuple(loops)

@@ -24,7 +24,10 @@ table from its packed bytes, one ``int.from_bytes`` per row, as the search
 did before it read rows as 64-bit words. The graph build reference is the per-edge validation and
 skeleton loop that made one ``Edge`` per edge, before the graph was stored
 as columns; the skeleton reference is the 3-key ``lexsort`` that kept the
-shortest parallel edge before one integer key was sorted. The experiment's
+shortest parallel edge before one integer key was sorted. The simple-loop
+reference takes self-loops, then parallel pairs, then skeleton cycles
+expanded over every parallel edge, as before one search over the edges
+found all three. The experiment's
 random subset reference passes the edge lengths as weights on every draw.
 """
 
@@ -109,6 +112,69 @@ def lexsort_skeleton(G):
     first[1:] = (a[1:] != a[:-1]) | (b[1:] != b[:-1])
     indptr = np.concatenate([[0], np.cumsum(np.bincount(a[first], minlength=len(vs)))])
     return (indptr, b[first], w[first])
+
+
+# the simple-loop enumeration that one edge-level search replaced, frozen:
+# self-loops, then parallel pairs, then vertex cycles over the skeleton
+# expanded over every choice of parallel edge per hop
+
+
+def simple_loops(G, max_loops=10000):
+    """All simple loops: self-loop edges, parallel-edge pairs, and longer cycles.
+
+    Parallel edges are distinct cycle constituents, so a theta graph on two
+    vertices with three parallel edges yields three loops. Raises
+    LoopCountGuardExceeded when more than ``max_loops`` loops would be built.
+    """
+    loops: list[gg.SimpleLoop] = []
+
+    def push(steps, length):
+        loops.append(gg.SimpleLoop.make(steps, length))
+        if len(loops) > max_loops:
+            raise gg.LoopCountGuardExceeded(
+                f"more than {max_loops} simple loops; raise max_loops to continue"
+            )
+
+    ids, us, vs, ls = G.edge_ids, G.edge_u.tolist(), G.edge_v.tolist(), G.edge_length.tolist()
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for k, (i, j) in enumerate(zip(us, vs)):
+        if i == j:
+            push([(ids[k], 1)], ls[k])
+        else:
+            by_pair.setdefault((min(i, j), max(i, j)), []).append(k)
+
+    # two parallel edges bound a loop: out along e1, back along e2
+    for (i, _), group in by_pair.items():
+        for e1, e2 in itertools.combinations(group, 2):
+            push([(ids[e1], 1 if us[e1] == i else -1), (ids[e2], -1 if us[e2] == i else 1)], ls[e1] + ls[e2])
+
+    # vertex-simple cycles on >= 3 vertices over the skeleton, whose rows
+    # list each neighbour once, expanded over every choice of parallel edge
+    # per hop; the search order is free, since the loops are sorted at the end
+    indptr, indices, _ = G._skeleton
+
+    def expand_cycle(cycle: list[int]) -> None:
+        hops = [
+            [(k, 1 if us[k] == a else -1) for k in by_pair[min(a, b), max(a, b)]]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1])
+        ]
+        for combo in itertools.product(*hops):
+            push([(ids[k], d) for k, d in combo], sum(ls[k] for k, d in combo))
+
+    for start in range(len(G.vertices)):
+        stack: list[tuple[list[int], set[int]]] = [([start], {start})]
+        while stack:
+            path, used = stack.pop()
+            last = path[-1]
+            for nxt in indices[indptr[last] : indptr[last + 1]].tolist():
+                if nxt == start and len(path) >= 3:
+                    if path[1] < path[-1]:  # one orientation per cycle
+                        expand_cycle(path)
+                elif nxt > start and nxt not in used:
+                    stack.append((path + [nxt], used | {nxt}))
+
+    loops.sort(key=lambda lp: (lp.length, lp.steps))
+    return tuple(loops)
 
 
 def dijkstra(vertex_ids, edge_list, src):

@@ -353,6 +353,9 @@ def test_best_bound_segment(segment02):
     assert certs[0].value == pytest.approx(certs[1].value, abs=TAU)
     values = [c.value for c in certs]
     assert values == sorted(values, reverse=True)
+    # without v in X, tree equality's hypothesis fails
+    applicable = {c.theorem: c.applicable() for c in gg.best_bound(segment02, gg.point_set(segment02, ["u"]))}
+    assert applicable == {"diameter": True, "interval-exact": True, "tree-equality": False}
 
 
 def test_best_bound_circle(circle):

@@ -637,6 +637,16 @@ def test_construct_guard_exits_before_allocating(seg_files, tmp_path, argv):
     assert set(tmp_path.iterdir()) == before
 
 
+def test_construct_net_guard_past_the_guard_in_process(capsys, tmp_path):
+    graph = _write(tmp_path / "unit.json", {"vertices": ["u", "v"], "edges": [{"id": "e", "u": "u", "v": "v", "length": 1.0}]})
+    before = set(tmp_path.iterdir())
+    assert main(["construct", "net", "--graph", graph, "--epsilon", "1e-300", "--out", str(tmp_path / "n")]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: net guard of 2000000 points exceeded: 5e+299 points\n"
+    assert set(tmp_path.iterdir()) == before
+
+
 def test_construct_guard_counts_every_point(monkeypatch):
     # a segment of length 2 at epsilon 1/8 takes 8 steps, so 9 points
     assert gg.constructions.POINT_GUARD == 2_000_000

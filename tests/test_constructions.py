@@ -404,6 +404,14 @@ def test_epsilon_net_rejects_nonpositive(segment01):
             gg.epsilon_net(segment01, eps)
 
 
+def test_epsilon_net_guard_on_a_step_ratio_past_the_guard(segment01):
+    # one span needs 5e299 steps, so the count is taken from the ratios
+    # without rounding them to steps
+    with pytest.raises(gg.GuardExceeded) as err:
+        gg.epsilon_net(segment01, 1e-300)
+    assert str(err.value) == "net guard of 2000000 points exceeded: 5e+299 points"
+
+
 def test_grid_coordinates():
     assert gg.grid_coordinates(0.0, 1.0, 0.5) == pytest.approx((0.0, 0.5, 1.0))
     assert gg.grid_coordinates(0.0, 1.0, 2.0) == pytest.approx((0.0, 1.0))

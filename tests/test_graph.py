@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import tracemalloc
@@ -259,6 +260,9 @@ def test_point_canonicalization(multi):
     assert gg.edge_point(multi, "a", 1e-12).vertex == "u"
     mid = gg.edge_point(multi, "a", 1.5)
     assert mid.edge == "a" and mid.offset == 1.5
+    u = gg.edge_point(multi, "a", 0.0)
+    assert u.is_vertex and not mid.is_vertex
+    assert (repr(u), repr(mid)) == ("GraphPoint(vertex='u')", "GraphPoint(edge='a', offset=1.5)")
 
 
 def test_point_set_reads_list_specs(multi):
@@ -271,6 +275,7 @@ def test_point_set_reads_list_specs(multi):
 def test_point_set_dedup_and_empty(multi):
     A = gg.point_set(multi, ["u", ("a", 0.0), ("b", 0.0), "u"])
     assert len(A.points) == 1
+    assert gg.vertex_point(multi, "u") in A and gg.vertex_point(multi, "v") not in A
     # construction tolerates emptiness; consuming operations do not
     empty = gg.point_set(multi, [])
     with pytest.raises(gg.EmptySet):
@@ -562,6 +567,45 @@ def test_enumerate_simple_loops_guard():
     assert sorted(l.length for l in loops) == pytest.approx([3.0] * 4 + [4.0] * 3)
     with pytest.raises(gg.LoopCountGuardExceeded):
         gg.enumerate_simple_loops(k4, max_loops=5)
+
+
+@st.composite
+def _loop_graphs(draw):
+    """A connected multigraph on 1-8 vertices with up to V+7 edges, among
+    them self-loops and parallel edges, with its vertices and edges
+    relabelled and shuffled and each edge turned either way round."""
+    V = draw(st.integers(1, 8))
+    names = draw(st.permutations([f"v{i}" for i in range(V)]))
+    ends = [(draw(st.integers(0, i - 1)), i) for i in range(1, V)]
+    ends += draw(st.lists(st.tuples(st.integers(0, V - 1), st.integers(0, V - 1)), max_size=8))
+    ends = [(b, a) if draw(st.booleans()) else (a, b) for a, b in draw(st.permutations(ends))]
+    labels = draw(st.permutations(range(len(ends))))
+    length = st.sampled_from([0.5, 1.0, 2.5, 0.1, 0.3, math.pi / 7]) | st.floats(0.01, 10.0)
+    edges = [(f"e{labels[k]}", names[a], names[b], draw(length)) for k, (a, b) in enumerate(ends)]
+    return gg.build_graph(draw(st.permutations(names)), edges)
+
+
+_K4 = (list("abcd"), [(f"e{i}", u, v, 1.0) for i, (u, v) in enumerate(itertools.combinations("abcd", 2))])
+_THETA = (["p", "q"], [("e2", "q", "p", 1.2), ("e1", "p", "q", 1.0), ("e3", "p", "q", 1.4)])
+
+
+@settings(max_examples=500, deadline=None)
+@given(_loop_graphs(), st.integers(0, 12) | st.just(10**9))
+@example(gg.build_graph(*_K4), 7)  # seven loops, the guard not tripped
+@example(gg.build_graph(*_K4), 6)  # tripped by the last loop
+@example(gg.build_graph(*_THETA), 10**9)
+@example(gg.build_graph(["o"], []), 0)
+def test_simple_loops_match_reference(G, max_loops):
+    # one search over the edges finds the loops, in the same order and with
+    # the same length bits, that the self-loop, parallel-pair and skeleton
+    # passes found, and trips the guard on the same graphs
+    def outcome(enumerate_loops):
+        try:
+            return [(lp.steps, lp.length.hex()) for lp in enumerate_loops(G, max_loops)]
+        except gg.LoopCountGuardExceeded as err:
+            return str(err)
+
+    assert outcome(gg.enumerate_simple_loops) == outcome(_brute.simple_loops)
 
 
 # --------------------------------------------------------------------------

@@ -161,6 +161,7 @@ def test_distortion_values():
     pairs = [(0, 0), (1, 0), (2, 1)]
     assert gg.distortion(gg.Correspondence(tuple(pairs)), X, Y) == 1.0
     assert gg.distortion(pairs, X, Y) == gg.distortion(np.array(pairs), X, Y) == 1.0
+    assert len(gg.Correspondence(tuple(pairs))) == 3
 
 
 def test_distortion_rejects_non_correspondence():
@@ -485,6 +486,8 @@ def test_is_isometric_permuted_space(theta345):
     for i in range(6):
         for j in range(6):
             assert d[i, j] == pytest.approx(e[found[i], found[j]], abs=TAU)
+    # any two one-point spaces are isometric
+    assert gg.is_isometric(gg.FiniteMetricSpace.from_line([0.0]), gg.FiniteMetricSpace.from_line([5.0])) == (True, (0,))
 
 
 def test_is_isometric_negative():

@@ -23,6 +23,7 @@ any other.
     python tools/cli_bytes.py /path/to/parent/src src
 """
 
+import argparse
 import hashlib
 import io
 import itertools
@@ -164,8 +165,23 @@ def run_tree(src: str) -> dict[str, str]:
     return json.loads(done.stdout)
 
 
-def main(trees: list[str]) -> int:
-    runs = [run_tree(src) for src in trees]
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("trees", nargs="*", default=["src"], help="source trees, each holding ghgraph/ (default: src)")
+    p.add_argument("--one", metavar="TREE", help=argparse.SUPPRESS)  # one tree's hashes as JSON
+    args = p.parse_args(argv)
+    for tree in [args.one] if args.one else args.trees:
+        if not (Path(tree) / "ghgraph" / "__init__.py").is_file():
+            p.error(f"no ghgraph/__init__.py under source tree {tree!r}")
+    return args
+
+
+def main(argv: list[str]) -> int:
+    args = parse_args(argv)
+    if args.one:
+        print(json.dumps(run_here(args.one)))
+        return 0
+    runs = [run_tree(src) for src in args.trees]
     names = sorted(set().union(*runs))
     differ = [n for n in names if len({run.get(n) for run in runs}) > 1]
     for n in differ:
@@ -175,7 +191,4 @@ def main(trees: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--one"]:
-        print(json.dumps(run_here(sys.argv[2])))
-    else:
-        sys.exit(main(sys.argv[1:] or ["src"]))
+    sys.exit(main(sys.argv[1:]))

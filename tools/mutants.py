@@ -50,6 +50,7 @@ GRAPH = "src/ghgraph/graph.py"
 STAR_PIN = "tests/test_oracle.py::test_gh_matches_forward_check_reference_on_star"
 TWO_WORD_PIN = "tests/test_oracle.py::test_gh_matches_forward_check_reference_on_two_word_rows"
 WORD_ROWS = "tests/test_oracle.py::test_word_rows_match_byte_rows"
+LOOPS_REFERENCE = "tests/test_graph.py::test_simple_loops_match_reference"
 
 MUTANTS = [
     # compatibility rows read from 64-bit words
@@ -70,6 +71,11 @@ MUTANTS = [
     Mutant("components-one-jump", GRAPH,
            "for _ in range(hooks.bit_length()):", "for _ in range(1):",
            ("tests/test_graph.py::test_component_count_matches_union_find",)),
+    # the loop search keeps each parallel pair once and each longer cycle in one direction
+    Mutant("loops-two-edge-tie", GRAPH,
+           "steps[0][0] < k if", "steps[0][0] <= k if", (LOOPS_REFERENCE,)),
+    Mutant("loops-both-directions", GRAPH,
+           "path[1] < x)", "path[1] != x)", (LOOPS_REFERENCE,)),
 ]
 
 
