@@ -680,75 +680,37 @@ def set_diameter(G: MetricGraph, A: PointSet) -> float:
 # --------------------------------------------------------------------------
 # continuum diameter
 
-# For edges e1 = (u1, v1, l1) and e2 = (u2, v2, l2) the distance between the
-# points at offsets s on e1 and t on e2 is the minimum of four affine pieces
-# cs*s + ct*t + c, cs and ct = +-1, one per endpoint pair a geodesic passes.
-# That minimum is concave, so its maximum over the box [0, l1] x [0, l2] lies
-# where two of ten lines cross: the four box sides and the six lines where
-# two pieces agree. The ten slopes are the same for every pair, so which of
-# the 45 line combinations cross, and their determinants, are fixed; each
-# crossing is solved for a chunk of pairs at once, kept when inside the box
-# (to eps) and evaluated exactly. Within one edge, points t - s apart
-# (0 <= s <= t <= l) are min(t - s, s + h + l - t) apart, h = D(u, v) <= l
-# (0 on a self-loop), which peaks at (h + l)/2 when t - s = (h + l)/2 <= l.
-# A point p at offset s on e = (u, v, l) leaves e through u or v, so for
-# every point q, d(p, q) <= (s + D(u, q) + l - s + D(v, q))/2. The farthest
-# point of an edge (u', v', l') from a vertex w is (D(w, u') + D(w, v') + l')/2
-# away; the largest of these over all edges is ecc(w), so no pair with e is
-# farther apart than bound(e) = (l + ecc(u) + ecc(v))/2 (Hakimi's absolute
-# centre argument). Edges go by decreasing bound, each paired with the edges
-# after it (its pairs with earlier ones are done). Those pairs are capped by
-# the other edge's bound and by the pair bound max D(ends) + (l1 + l2)/2, the
-# mean of the pieces through (u1, u2) and (v1, v2), which is tighter where
-# eccentricities are flat (on a cycle every edge bound exceeds the diameter).
-# The pairs whose cap reaches the best value are evaluated in chunks,
-# oriented (lower index, higher index): D may differ from its transpose in
-# the last bit, and one fixed orientation keeps the value independent of
-# the visiting order. The pass stops at the first edge whose bound is below
-# the best value by 1e-11 (1 + bound), and a pair is skipped by the same
-# margin: more than the 2 eps and the rounding by which a candidate kept
-# within eps of the box can exceed it. The eccentricities take row blocks
-# of D of the same chunk size and each edge holds one row of caps, so no
-# table over all E^2 pairs is ever held.
+# A point p outside an edge (u', v', l') reaches a point of it through u' or
+# v', so the farthest point of the edge from p is (d(p, u') + d(p, v') + l')/2
+# away: the two routes meet on the edge, since |d(p, u') - d(p, v')| <= l'.
+# The largest of these over all edges, for p a vertex w, is ecc(w).
+# For distinct edges e1 = (u1, v1, l1) and e2 = (u2, v2, l2), the point p at
+# offset s on e1 has d(p, w) = min(s + D(u1, w), l1 - s + D(v1, w)): a tent in
+# s whose peak the triangle inequality puts on [0, l1]. Between the peaks for
+# w = u2 and w = v2 one tent rises while the other falls, so their sum is flat
+# there, and that flat value is its maximum. Evaluated at either peak, the
+# largest distance between a point of e1 and a point of e2 is
+#   (l1 + l2 + min(D(u1, u2) + D(v1, v2), D(u1, v2) + D(v1, u2))) / 2,
+# half the shortest closed walk through both edges (Hakimi's absolute centre
+# argument). Within one edge, points t - s apart (0 <= s <= t <= l) are
+# min(t - s, s + h + l - t) apart, h = D(u, v) <= l (0 on a self-loop), which
+# peaks at (h + l)/2 when t - s = (h + l)/2 <= l.
+# No pair with e is farther apart than bound(e) = (l + ecc(u) + ecc(v))/2.
+# Edges go by decreasing bound, each paired in one row with the edges after
+# it (its pairs with earlier ones are done), oriented (lower index, higher
+# index): D may differ from its transpose in the last bit, and one fixed
+# orientation keeps the value independent of the visiting order. The pass
+# stops at the first edge whose bound is below the best value by
+# 1e-11 (1 + bound), far more than the rounding by which a pair value can
+# exceed its bound. The eccentricities take row blocks of D and each edge
+# holds one row of pair values, so no table over all E^2 pairs is ever held.
 
-_PAIR_CHUNK = 256
-_PIECES = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
-_PIECE_PAIRS = tuple(itertools.combinations(range(4), 2))
-
-
-def _crossings(slopes):
-    """Crossing line pairs i, j, then a_i, b_i, a_j, b_j, det as columns."""
-    rows = [
-        (i, j, a1, b1, a2, b2, a1 * b2 - a2 * b1)
-        for (i, (a1, b1)), (j, (a2, b2)) in itertools.combinations(enumerate(slopes), 2)
-        if abs(a1 * b2 - a2 * b1) >= 1e-15
-    ]
-    i, j, *coefs = zip(*rows)
-    return (np.array(i), np.array(j), *(np.array(c)[:, None] for c in coefs))
-
-
-_PAIR_CROSSINGS = _crossings(
-    [(1.0, 0.0), (1.0, 0.0), (0.0, 1.0), (0.0, 1.0)]
-    + [(_PIECES[p][0] - _PIECES[q][0], _PIECES[p][1] - _PIECES[q][1]) for p, q in _PIECE_PAIRS]
-)
-
-
-def _solve(crossings, rhs):
-    """(s, t) per crossing (rows) and case (columns); one rhs entry per line."""
-    i, j, a1, b1, a2, b2, det = crossings
-    rhs = np.array(np.broadcast_arrays(*rhs))
-    c1, c2 = rhs[i], rhs[j]
-    return (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+_ROW_BLOCK = 256
 
 
 def _pair_max(D, u1, v1, l1, u2, v2, l2) -> float:
-    """Largest distance between a point of e1 and one of e2, over a chunk."""
-    c = (D[u1, u2], D[u1, v2] + l2, D[v1, u2] + l1, D[v1, v2] + l1 + l2)
-    s, t = _solve(_PAIR_CROSSINGS, [0.0, l1, 0.0, l2] + [c[q] - c[p] for p, q in _PIECE_PAIRS])
-    eps = 1e-12 * (1.0 + l1 + l2)
-    inside = (-eps <= s) & (s <= l1 + eps) & (-eps <= t) & (t <= l2 + eps)
-    value = np.min([cs * s + ct * t + ck for (cs, ct), ck in zip(_PIECES, c)], axis=0)
-    return float(np.max(value, where=inside, initial=-np.inf))
+    """Largest distance between a point of e1 and one of e2, over a row of pairs."""
+    return float(np.max(l1 + l2 + np.minimum(D[u1, u2] + D[v1, v2], D[u1, v2] + D[v1, u2]), initial=-np.inf)) / 2.0
 
 
 def graph_diameter(G: MetricGraph) -> float:
@@ -758,20 +720,16 @@ def graph_diameter(G: MetricGraph) -> float:
     D = G.vertex_distances
     u, v, l = G.edge_u, G.edge_v, G.edge_length
     best = max(float(D.max()), float(((D[u, v] + l) / 2.0).max()))
-    rows = range(0, len(D), _PAIR_CHUNK)
-    ecc = np.concatenate([(D[w : w + _PAIR_CHUNK, u] + D[w : w + _PAIR_CHUNK, v] + l).max(axis=1) for w in rows]) / 2.0
+    rows = range(0, len(D), _ROW_BLOCK)
+    ecc = np.concatenate([(D[w : w + _ROW_BLOCK, u] + D[w : w + _ROW_BLOCK, v] + l).max(axis=1) for w in rows]) / 2.0
     bound = (l + ecc[u] + ecc[v]) / 2.0
     order = np.argsort(-bound)
     for k, e in enumerate(order.tolist()):
         if bound[e] + 1e-11 * (1.0 + bound[e]) < best:
             break
         f = order[k + 1 :]
-        far = np.maximum(np.maximum(D[u[e], u[f]], D[u[e], v[f]]), np.maximum(D[v[e], u[f]], D[v[e], v[f]]))
-        cap = np.minimum(far + (l[e] + l[f]) / 2.0, bound[f])
-        f = f[cap + 1e-11 * (1.0 + cap) >= best]
-        for c in range(0, len(f), _PAIR_CHUNK):
-            p, q = np.minimum(e, f[c : c + _PAIR_CHUNK]), np.maximum(e, f[c : c + _PAIR_CHUNK])
-            best = max(best, _pair_max(D, u[p], v[p], l[p], u[q], v[q], l[q]))
+        p, q = np.minimum(e, f), np.maximum(e, f)
+        best = max(best, _pair_max(D, u[p], v[p], l[p], u[q], v[q], l[q]))
     return best
 
 

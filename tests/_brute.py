@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive and independent of the code under test:
 explicit Dijkstra over an adjacency list, exhaustive search over all pairs of
-covering maps, double loops for distortion. The continuum diameter reference
-is the scalar edge-pair loop; it reads the graph's own ``vertex_distances``,
-so it checks the candidate search, not the vertex distances. The degree,
+covering maps, double loops for distortion. The continuum diameter has two
+references: the line-crossing search of every edge pair in exact fractions,
+over an exact Floyd-Warshall matrix of the float lengths, and the closed
+form in scalar floats over every pair, which reads the graph's own
+``vertex_distances`` and so checks the pruning, not the vertex distances. The degree,
 boundary and shortest non-terminal edge references are the degree dict
 filled by a loop over the edges. The continuum
 Hausdorff reference is the scalar per-edge envelope loop; it reads the
@@ -38,6 +40,7 @@ import itertools
 import math
 from bisect import bisect_left
 from collections import namedtuple
+from fractions import Fraction
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -230,15 +233,17 @@ def circle_arc_distance(a, b, circumference):
 
 
 # --------------------------------------------------------------------------
-# continuum diameter: the scalar line-intersection loop, kept frozen as the
-# reference the array code in ``ghgraph.graph`` must match exactly
+# continuum diameter: the line-crossing search in exact rationals, which
+# checks the closed form in ``ghgraph.graph`` and bounds its rounding, and
+# the closed form in scalar floats over every edge pair, which the library's
+# pruned array pass must match exactly
 
 
 def _max_min_affine(lines, inside, evaluate):
     best = -math.inf
     for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(lines, 2):
         det = a1 * b2 - a2 * b1
-        if abs(det) < 1e-15:
+        if det == 0:
             continue
         s = (c1 * b2 - c2 * b1) / det
         t = (a1 * c2 - a2 * c1) / det
@@ -249,68 +254,90 @@ def _max_min_affine(lines, inside, evaluate):
     return best
 
 
-def _diameter_pair(G, e1, e2):
-    D = G.vertex_distances
-    vi = G.vertex_index
-    l1, l2 = e1.length, e2.length
-    u1, v1 = vi[e1.u], vi[e1.v]
-    u2, v2 = vi[e2.u], vi[e2.v]
+def _exact_vertex_distances(G):
+    """Floyd-Warshall over the float edge lengths as exact fractions."""
+    V, vi = len(G.vertices), G.vertex_index
+    D = [[Fraction(0) if a == b else math.inf for b in range(V)] for a in range(V)]
+    for e in G.edges:
+        a, b = vi[e.u], vi[e.v]
+        if a != b:
+            D[a][b] = D[b][a] = min(D[a][b], Fraction(e.length))
+    for c in range(V):
+        for a in range(V):
+            for b in range(V):
+                D[a][b] = min(D[a][b], D[a][c] + D[c][b])
+    return D
+
+
+def _diameter_pair(D, l1, u1, v1, l2, u2, v2):
     # pieces as (coef_s, coef_t, const): value = cs*s + ct*t + c
     pieces = [
-        (1.0, 1.0, float(D[u1, u2])),
-        (1.0, -1.0, float(D[u1, v2]) + l2),
-        (-1.0, 1.0, float(D[v1, u2]) + l1),
-        (-1.0, -1.0, float(D[v1, v2]) + l1 + l2),
+        (1, 1, D[u1][u2]),
+        (1, -1, D[u1][v2] + l2),
+        (-1, 1, D[v1][u2] + l1),
+        (-1, -1, D[v1][v2] + l1 + l2),
     ]
 
     def evaluate(s, t):
         return min(cs * s + ct * t + c for cs, ct, c in pieces)
 
-    lines = [(1.0, 0.0, 0.0), (1.0, 0.0, l1), (0.0, 1.0, 0.0), (0.0, 1.0, l2)]
-    for (p, q) in itertools.combinations(pieces, 2):
-        a, b, c = p[0] - q[0], p[1] - q[1], q[2] - p[2]
-        if a != 0.0 or b != 0.0:
-            lines.append((a, b, c))
-    eps = 1e-12 * (1.0 + l1 + l2)
+    lines = [(1, 0, 0), (1, 0, l1), (0, 1, 0), (0, 1, l2)]
+    for p, q in itertools.combinations(pieces, 2):
+        lines.append((p[0] - q[0], p[1] - q[1], q[2] - p[2]))
 
     def inside(s, t):
-        return -eps <= s <= l1 + eps and -eps <= t <= l2 + eps
+        return 0 <= s <= l1 and 0 <= t <= l2
 
     return _max_min_affine(lines, inside, evaluate)
 
 
-def _diameter_same_edge(G, e):
+def _diameter_same_edge(h, l):
     # On the triangle 0 <= s <= t <= l the distance is min(t - s, s + h + l - t)
     # with h the vertex distance between the endpoints (0 for a self-loop).
-    l = e.length
-    h = float(G.vertex_distances[G.vertex_index[e.u], G.vertex_index[e.v]])
-
     def evaluate(s, t):
         return min(t - s, s + h + l - t)
 
     lines = [
-        (1.0, 0.0, 0.0),
-        (0.0, 1.0, l),
-        (1.0, -1.0, 0.0),  # the s = t boundary of the triangle
-        (-2.0, 2.0, h + l),  # crossing of the two pieces
+        (1, 0, 0),
+        (0, 1, l),
+        (1, -1, 0),  # the s = t boundary of the triangle
+        (-2, 2, h + l),  # crossing of the two pieces
     ]
-    eps = 1e-12 * (1.0 + l)
 
     def inside(s, t):
-        return -eps <= s and t <= l + eps and s <= t + eps
+        return 0 <= s <= t <= l
 
     return _max_min_affine(lines, inside, evaluate)
 
 
-def graph_diameter(G):
-    """Continuum diameter by visiting every edge pair with scalar arithmetic."""
+def graph_diameter_exact(G):
+    """Continuum diameter as a Fraction: the largest value at the crossings of
+    the box sides and piece boundaries of every edge pair, in exact arithmetic
+    over the float edge lengths."""
+    if not G.edges:
+        return Fraction(0)
+    D, vi = _exact_vertex_distances(G), G.vertex_index
+    ends = [(Fraction(e.length), vi[e.u], vi[e.v]) for e in G.edges]
+    best = max(max(row) for row in D)
+    for i, (l1, u1, v1) in enumerate(ends):
+        best = max(best, _diameter_same_edge(D[u1][v1], l1))
+        for l2, u2, v2 in ends[i + 1 :]:
+            best = max(best, _diameter_pair(D, l1, u1, v1, l2, u2, v2))
+    return best
+
+
+def graph_diameter_every_pair(G):
+    """Continuum diameter by the closed form in scalar floats over every edge
+    pair, in the library's operation order and (lower, higher) orientation."""
     if not G.edges:
         return 0.0
-    best = float(G.vertex_distances.max())
-    for i, e1 in enumerate(G.edges):
-        best = max(best, _diameter_same_edge(G, e1))
-        for e2 in G.edges[i + 1 :]:
-            best = max(best, _diameter_pair(G, e1, e2))
+    D, vi = G.vertex_distances.tolist(), G.vertex_index
+    ends = [(vi[e.u], vi[e.v], e.length) for e in G.edges]
+    best = max(map(max, D))
+    for i, (u1, v1, l1) in enumerate(ends):
+        best = max(best, (D[u1][v1] + l1) / 2.0)
+        for u2, v2, l2 in ends[i + 1 :]:
+            best = max(best, (l1 + l2 + min(D[u1][u2] + D[v1][v2], D[u1][v2] + D[v1][u2])) / 2.0)
     return best
 
 

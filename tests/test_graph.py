@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -398,15 +399,32 @@ def _multigraph(draw):
 @settings(max_examples=100, deadline=None)
 @given(_multigraph())
 def test_graph_diameter_matches_scalar_reference(G):
-    reference = _brute.graph_diameter(G)
+    reference = _brute.graph_diameter_every_pair(G)
     assert gg.graph_diameter(G) == reference
-    # chunks of 3 pairs, so the pruning runs over many chunks on small graphs
-    with mock.patch.object(graph_mod, "_PAIR_CHUNK", 3):
+    # row blocks of 3 vertices, so the eccentricities span several blocks
+    with mock.patch.object(graph_mod, "_ROW_BLOCK", 3):
         assert gg.graph_diameter(G) == reference
 
 
-# the diameter sits at a crossing for one pair of edges that rounds just
-# outside the pair's box: without the eps slack the value drops by one ulp
+def _assert_within_gamma(G):
+    # gamma_V = V u / (1 - V u), u = 2^-53, bounds the relative rounding
+    # (Higham 2002, 3.1): a vertex distance is a left-to-right sum of at most
+    # V - 1 lengths (V - 2 roundings), and a pair value (l1 + l2 + (D + D)) / 2
+    # adds 3 roundings, 2 on each of its terms, so each value carries at most
+    # V of them; the halving is exact
+    V, exact = len(G.vertices), _brute.graph_diameter_exact(G)
+    assert abs(Fraction(gg.graph_diameter(G)) - exact) <= Fraction(V, 2**53 - V) * exact
+
+
+@settings(max_examples=30, deadline=None)
+@given(_multigraph())
+def test_graph_diameter_matches_exact_reference(G):
+    _assert_within_gamma(G)
+
+
+# the diameter sits at a crossing of two pieces for one pair of edges that,
+# solved in floats, rounds just outside the pair's box; the closed form
+# solves no crossing, and the fixture keeps the case in both references
 _EPS_EDGE = gg.build_graph(
     ["v0", "v1", "v2", "v3"],
     [
@@ -417,8 +435,21 @@ _EPS_EDGE = gg.build_graph(
     ],
 )
 
+# D reads the v2-v3 distance, 0.251 + 4.366 + 4.264, one ulp apart from its
+# two ends, and the diameter, between the edge t3 and the loop x0, adds it:
+# the value depends on which edge of the pair gives the row
+_ASYMMETRIC = gg.build_graph(
+    ["v0", "v1", "v2", "v3"],
+    [
+        ("t1", "v0", "v1", 4.366),
+        ("t2", "v1", "v2", 4.264),
+        ("t3", "v0", "v3", 0.251),
+        ("x0", "v2", "v2", 4.695),
+        ("x1", "v0", "v3", 3.576),
+    ],
+)
 
-@pytest.mark.parametrize(
+_DIAMETER_FIXTURES = pytest.mark.parametrize(
     "G",
     [
         gg.circle_graph(),
@@ -426,63 +457,73 @@ _EPS_EDGE = gg.build_graph(
         gg.theta_graph(3.0, 4.0, 5.0),
         gg.star_graph([1.0, 2.0, 3.0, 4.0]),
         _EPS_EDGE,
+        _ASYMMETRIC,
     ],
-    ids=["circle", "segment", "theta345", "star4", "eps-edge"],
+    ids=["circle", "segment", "theta345", "star4", "eps-edge", "asymmetric"],
 )
+
+
+@_DIAMETER_FIXTURES
 def test_graph_diameter_matches_scalar_reference_on_fixtures(G):
-    assert gg.graph_diameter(G) == _brute.graph_diameter(G)
+    assert gg.graph_diameter(G) == _brute.graph_diameter_every_pair(G)
+    with mock.patch.object(graph_mod, "_ROW_BLOCK", 3):
+        assert gg.graph_diameter(G) == _brute.graph_diameter_every_pair(G)
+
+
+@_DIAMETER_FIXTURES
+def test_graph_diameter_matches_exact_reference_on_fixtures(G):
+    _assert_within_gamma(G)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_multigraph(), st.integers(-30, 40))
+def test_graph_diameter_scales_exactly(G, k):
+    # scaling every length by 2^k scales every sum, halving and comparison
+    # exactly, so the diameter too; only the stop margin is not scaled, and
+    # it decides which rows are read, never the value
+    scaled = gg.build_graph(G.vertices, [(e.id, e.u, e.v, math.ldexp(e.length, k)) for e in G.edges])
+    assert gg.graph_diameter(scaled) == math.ldexp(gg.graph_diameter(G), k)
 
 
 def test_graph_diameter_found_behind_looser_bounds():
     # the four parallel u-v edges have the largest edge bound, (0.5 + ecc(u)
-    # + ecc(v))/2 = (0.5 + 0.5 + 0.65)/2, and come first, but the first one's
-    # chunk of 3 pairs with the others reaches only 0.5; the diameter, 0.65
-    # from the loop's antipode to v, lies in its next chunk, with the loop
+    # + ecc(v))/2 = (0.5 + 0.5 + 0.65)/2, and come first, but their pairs
+    # with one another reach only 0.5; the diameter, 0.65 from the loop's
+    # antipode to v, lies in the first edge's pair with the loop
     bundle = [(f"b{i}", "u", "v", 0.5) for i in range(4)]
     G = gg.build_graph(["u", "v", "w"], bundle + [("p", "u", "w", 0.05), ("c", "w", "w", 0.2)])
-    with mock.patch.object(graph_mod, "_PAIR_CHUNK", 3):
-        assert gg.graph_diameter(G) == _brute.graph_diameter(G) == pytest.approx(0.65)
+    with mock.patch.object(graph_mod, "_ROW_BLOCK", 2):
+        assert gg.graph_diameter(G) == _brute.graph_diameter_every_pair(G) == pytest.approx(0.65)
 
 
 def test_graph_diameter_prunes_chunks_of_edge_pairs(monkeypatch):
-    # 90 edges make 4005 pairs, several chunks; the pass stops before the
-    # last chunk and still matches the reference that visits every pair
+    # 90 edges make 4005 pairs in 90 rows, one per edge; the pass stops
+    # after a few rows and still matches the reference that visits every pair
     rng = np.random.default_rng(7)
     ends = [(rng.integers(0, i), i) for i in range(1, 45)] + [tuple(rng.integers(0, 45, 2)) for _ in range(46)]
     G = gg.build_graph(
         [f"v{i}" for i in range(45)],
         [(f"e{k}", f"v{u}", f"v{v}", rng.uniform(0.5, 2.0)) for k, (u, v) in enumerate(ends)],
     )
-    chunks = []
+    rows = []
     pair_max = graph_mod._pair_max
 
-    def counted(D, *pairs):
-        chunks.append(len(pairs[0]))
-        return pair_max(D, *pairs)
+    def counted(*args):
+        rows.append(args)
+        return pair_max(*args)
 
     monkeypatch.setattr(graph_mod, "_pair_max", counted)
-    assert gg.graph_diameter(G) == _brute.graph_diameter(G)
-    n_chunks = math.ceil(90 * 89 / 2 / graph_mod._PAIR_CHUNK)
-    assert n_chunks >= 3 and 1 <= len(chunks) < n_chunks
+    assert gg.graph_diameter(G) == _brute.graph_diameter_every_pair(G)
+    assert 1 <= len(rows) < 89
 
 
 @pytest.mark.parametrize("E", [200, 201])
-def test_graph_diameter_prunes_pairs_on_a_cycle(monkeypatch, E):
+def test_graph_diameter_prunes_pairs_on_a_cycle(E):
     # every vertex of a cycle of equal edges has ecc = L/2, so no edge bound
-    # stops the pass; the pair bounds leave only pairs about half the cycle
-    # apart, a few per edge instead of all E(E-1)/2 (odd E puts the diameter
+    # stops the pass and every edge reads its row (odd E puts the diameter
     # mid-edge, above every vertex distance)
     G = gg.build_graph([f"v{i}" for i in range(E)], [(f"e{i}", f"v{i}", f"v{(i + 1) % E}", 0.1) for i in range(E)])
-    pairs = []
-    pair_max = graph_mod._pair_max
-
-    def counted(D, *ends):
-        pairs.append(len(ends[0]))
-        return pair_max(D, *ends)
-
-    monkeypatch.setattr(graph_mod, "_pair_max", counted)
-    assert gg.graph_diameter(G) == _brute.graph_diameter(G) == pytest.approx(E * 0.1 / 2)
-    assert sum(pairs) <= 3 * E < E * (E - 1) // 2
+    assert gg.graph_diameter(G) == _brute.graph_diameter_every_pair(G) == pytest.approx(E * 0.1 / 2)
 
 
 @settings(max_examples=100, deadline=None)
@@ -495,7 +536,7 @@ def test_degree_structure_matches_scalar_reference(G):
 
 def test_graph_diameter_memory_is_bounded():
     # after the vertex matrix (8 MB here) is built, the search holds one
-    # row block of it and one chunk of edge pairs at a time; a table of
+    # row block of it and one row of pair values at a time; a table of
     # bounds over all E(E-1)/2 = 2e6 pairs, with its sort order, would take
     # about 150 MB
     rng = np.random.default_rng(0)

@@ -12,10 +12,18 @@ examples in the copy. Each mutant is reported as
 - stale: the old text no longer occurs exactly once, so the mutant must
   be restated against the current code;
 - error: pytest could not run the selection (exit code other than 0 or 1),
-  for example because a selected test no longer exists.
+  for example because a selected test no longer exists;
+- timed out: the selection ran past ``TIME_LIMIT_S`` and was stopped, for
+  example because the mutant never ends.
+
+Each pytest run is a child process whose address space is capped at
+``MEMORY_CAP`` bytes (``RLIMIT_AS``, set in the child only), so a mutant
+whose search grows without end fails with ``MemoryError`` instead of
+taking the host's memory.
 
 Before the mutants, the selections run once on an unmutated copy, which
-must pass. The exit status is non-zero unless every mutant is killed.
+must pass. The exit status is non-zero unless every mutant is killed or
+timed out: a selection stopped at the time limit has not passed either.
 
     python tools/mutants.py                                          # every mutant
     python tools/mutants.py oracle-big-bit-order components-one-jump   # some
@@ -26,6 +34,7 @@ per mutant; it is not part of tier-1.
 
 import argparse
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -34,6 +43,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIME_LIMIT_S = 120
+MEMORY_CAP = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,8 @@ STAR_PIN = "tests/test_oracle.py::test_gh_matches_forward_check_reference_on_sta
 TWO_WORD_PIN = "tests/test_oracle.py::test_gh_matches_forward_check_reference_on_two_word_rows"
 WORD_ROWS = "tests/test_oracle.py::test_word_rows_match_byte_rows"
 LOOPS_REFERENCE = "tests/test_graph.py::test_simple_loops_match_reference"
+DIAMETER_REFERENCE = "tests/test_graph.py::test_graph_diameter_matches_scalar_reference"
+DIAMETER_FIXTURES = "tests/test_graph.py::test_graph_diameter_matches_scalar_reference_on_fixtures"
 
 MUTANTS = [
     # compatibility rows read from 64-bit words
@@ -76,6 +89,18 @@ MUTANTS = [
            "steps[0][0] < k if", "steps[0][0] <= k if", (LOOPS_REFERENCE,)),
     Mutant("loops-both-directions", GRAPH,
            "path[1] < x)", "path[1] != x)", (LOOPS_REFERENCE,)),
+    # without the on-path test the search revisits vertices and never ends
+    Mutant("loops-revisit-path", GRAPH,
+           "elif w > start and w not in path:", "elif w > start:", (LOOPS_REFERENCE,)),
+    # the continuum diameter: both pairings of the ends, the stop margin and
+    # the (lower, higher) orientation, against the closed form over every pair
+    Mutant("diameter-one-pairing", GRAPH,
+           "np.minimum(D[u1, u2] + D[v1, v2], D[u1, v2] + D[v1, u2])", "(D[u1, u2] + D[v1, v2])",
+           (DIAMETER_REFERENCE,)),
+    Mutant("diameter-stop-early", GRAPH,
+           "if bound[e] + 1e-11 * (1.0 + bound[e]) < best:", "if bound[e] < 2.0 * best:", (DIAMETER_REFERENCE,)),
+    Mutant("diameter-orientation", GRAPH,
+           "p, q = np.minimum(e, f), np.maximum(e, f)", "p, q = e, f", (DIAMETER_FIXTURES,)),
 ]
 
 
@@ -85,10 +110,19 @@ def copy_tree(dest: Path) -> None:
     shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
 
 
-def run_tests(tree: Path, tests) -> int:
+def cap_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
+
+
+def run_tests(tree: Path, tests, timeout: float | None = None) -> int | None:
+    """pytest's exit code, or None if the run took longer than ``timeout`` seconds."""
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
-    return subprocess.run(cmd, cwd=tree, env=env, capture_output=True).returncode
+    try:
+        done = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, timeout=timeout, preexec_fn=cap_memory)
+    except subprocess.TimeoutExpired:
+        return None
+    return done.returncode
 
 
 def judge(mutant: Mutant) -> str:
@@ -100,8 +134,8 @@ def judge(mutant: Mutant) -> str:
         if text.count(mutant.old) != 1:
             return "stale"
         path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
-        code = run_tests(tree, mutant.tests)
-    return {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+        code = run_tests(tree, mutant.tests, TIME_LIMIT_S)
+    return {None: "timed out", 0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
 
 
 def main() -> int:
@@ -125,9 +159,9 @@ def main() -> int:
     for m in chosen:
         verdicts.append(judge(m))
         print(f"{m.name:<28} {verdicts[-1]}", flush=True)
-    killed = verdicts.count("killed")
-    print(f"{killed} of {len(chosen)} mutants killed")
-    return 0 if killed == len(chosen) else 1
+    killed, timed_out = verdicts.count("killed"), verdicts.count("timed out")
+    print(f"{killed} of {len(chosen)} mutants killed, {timed_out} timed out")
+    return 0 if killed + timed_out == len(chosen) else 1
 
 
 if __name__ == "__main__":
