@@ -123,9 +123,9 @@ def star_counterexample(
     x_intervals[f"r{n}"] = [(0.0, 1.0)]
     X = region(T, x_intervals, ["c"] + [f"v{t}" for t in range(1, n)])
 
-    xc_intervals = {
-        f"r{t}": [(0.0, lengths[t - 1] - 1.0 / n)] for t in range(1, n + 1)
-    }
+    # ray t ends at 1 + (t-1)/n, written as X's ray t-1 is, so both subsets
+    # have bit-equal spans and equal nets
+    xc_intervals = {f"r{t}": [(0.0, 1.0 + (t - 1) / n)] for t in range(1, n + 1)}
     X_centered = region(T, xc_intervals, ["c"])
 
     h_x = hausdorff_graph_to_region(T, X)

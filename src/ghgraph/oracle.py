@@ -55,8 +55,6 @@ __all__ = [
     "is_isometric",
 ]
 
-# cells per block of the triangle scan, about 16 MB of float64
-_TRIANGLE_BLOCK_CELLS = 1 << 21
 # gaps per block of the pair-compatibility build, 1 MB of float64
 _PAIR_BLOCK_CELLS = 1 << 17
 
@@ -96,25 +94,17 @@ class FiniteMetricSpace:
     smaller of the two readings of each distance and a zero diagonal, so
     ``d`` is exactly symmetric and every computation on the space reads one
     value per pair of points.
-    The cubic triangle scan checks that kept matrix, over blocks of middle
-    points, so its work arrays stay near 16 MB, or one n x n slab for the
-    largest matrices.
+    The cubic triangle scan checks that kept matrix one middle point at a
+    time, so its work arrays are one n x n slab.
     """
 
     __slots__ = ("d",)
 
     def __init__(self, d: np.ndarray | Sequence[Sequence[float]]):
         d = _checked_axioms(d)
-        n = d.shape[0]
-        step = max(1, _TRIANGLE_BLOCK_CELLS // (n * n))
-        for start in range(0, n, step):
-            ks = slice(start, start + step)
-            bad = d[:, ks, None] + d[None, ks, :] + TOLERANCE < d[:, None, :]
-            through = np.flatnonzero(bad.any(axis=(0, 2)))
-            if through.size:
-                raise InvalidMetric(
-                    f"triangle inequality fails through point {start + through[0]}"
-                )
+        for k in range(d.shape[0]):
+            if (d[:, k, None] + d[k] + TOLERANCE < d).any():
+                raise InvalidMetric(f"triangle inequality fails through point {k}")
         self.d = d
 
     @classmethod
@@ -302,10 +292,9 @@ def _search(X: FiniteMetricSpace, Y: FiniteMetricSpace, guard: int) -> tuple[flo
     weight = [1] * depth
     nodes = 0
 
-    def guard_tripped() -> GuardExceeded:
+    def guard_tripped(reason: str = f"gh_exact guard of {guard} assignments exceeded") -> GuardExceeded:
         return GuardExceeded(
-            f"gh_exact guard of {guard} assignments exceeded; "
-            f"GH distance in [{lo / 2.0:.12g}, {hi / 2.0:.12g}]",
+            f"{reason}; GH distance in [{lo / 2.0:.12g}, {hi / 2.0:.12g}]",
             bracket=(lo / 2.0, hi / 2.0),
         )
 
@@ -353,39 +342,44 @@ def _search(X: FiniteMetricSpace, Y: FiniteMetricSpace, guard: int) -> tuple[flo
             cand ^= low
         return False
 
-    while lo < hi:
-        t = (lo + hi) / 2.0
-        if t <= lo:  # hi is the next float above lo
-            t = hi
-        C, least = gaps.rows_below(t)
-        if extends(C, full, tuple(range(depth))):
-            hi = distortion_of(path)
-            best = path[:]
-        else:
-            lo = least
-
-    # The lexicographically first map pair at hi, one variable at a time:
-    # the first candidate that some completion of the prefix keeps at hi is
-    # fixed, and ``best`` moves to that completion. The candidate in
-    # ``best`` itself needs no search.
-    C, _ = gaps.rows_below(math.nextafter(hi, math.inf))
-    alive = full
-    for v in range(depth):
-        cand = alive & masks[v] & ((2 << best[v]) - 1)
-        while cand:
-            low = cand & -cand
-            nodes += 1
-            if nodes > guard:
-                raise guard_tripped()
-            p = low.bit_length() - 1
-            path[v] = p
-            if p == best[v]:
-                break
-            if extends(C, alive & C[p], tuple(range(v + 1, depth))):
+    # ``extends`` takes one stack frame per variable, so a search deeper than
+    # Python's recursion limit stops with the bracket it has reached
+    try:
+        while lo < hi:
+            t = (lo + hi) / 2.0
+            if t <= lo:  # hi is the next float above lo
+                t = hi
+            C, least = gaps.rows_below(t)
+            if extends(C, full, tuple(range(depth))):
+                hi = distortion_of(path)
                 best = path[:]
-                break
-            cand ^= low
-        alive &= C[best[v]]
+            else:
+                lo = least
+
+        # The lexicographically first map pair at hi, one variable at a
+        # time: the first candidate that some completion of the prefix keeps
+        # at hi is fixed, and ``best`` moves to that completion. The
+        # candidate in ``best`` itself needs no search.
+        C, _ = gaps.rows_below(math.nextafter(hi, math.inf))
+        alive = full
+        for v in range(depth):
+            cand = alive & masks[v] & ((2 << best[v]) - 1)
+            while cand:
+                low = cand & -cand
+                nodes += 1
+                if nodes > guard:
+                    raise guard_tripped()
+                p = low.bit_length() - 1
+                path[v] = p
+                if p == best[v]:
+                    break
+                if extends(C, alive & C[p], tuple(range(v + 1, depth))):
+                    best = path[:]
+                    break
+                cand ^= low
+            alive &= C[best[v]]
+    except RecursionError:
+        raise guard_tripped(f"search of {depth} variables exceeds Python's recursion limit") from None
     return hi, best, nodes
 
 
@@ -405,7 +399,9 @@ def gh_exact(
     search and the witness scan. Beyond it GuardExceeded is raised, and its
     ``bracket`` holds (lower, upper): half a proven lower bound on the
     distortion of every map pair (at least half the diameter gap), and half
-    the distortion of the best map pair found.
+    the distortion of the best map pair found. The search takes one stack
+    frame per variable, and a search of n + m variables deeper than Python's
+    recursion limit raises GuardExceeded the same way.
     """
     value, path, _ = _search(X, Y, guard)
     return value / 2.0, Correspondence(tuple(divmod(p, Y.n) for p in sorted(set(path))))
@@ -449,20 +445,19 @@ def is_isometric(
     sx = np.sort(DX, axis=1)
     sy = np.sort(DY, axis=1)
 
-    # farthest-first order makes each new point tightly constrained
+    # farthest-first order makes each new point tightly constrained; a chosen
+    # point's distance to the chosen set is 0 and every other point's is
+    # positive, since a kept matrix is positive off its diagonal, so argmax
+    # never picks a point twice
     order = [int(np.argmax(DX.sum(axis=1)))]
-    seen = np.zeros(n, dtype=bool)
-    seen[order[0]] = True
     mindist = DX[order[0]].copy()
     for _ in range(n - 1):
-        mindist[seen] = -1.0
-        nxt = int(np.argmax(mindist))
-        order.append(nxt)
-        seen[nxt] = True
-        np.minimum(mindist, DX[nxt], out=mindist)
+        order.append(int(np.argmax(mindist)))
+        np.minimum(mindist, DX[order[-1]], out=mindist)
 
-    mapped_x: list[int] = []
-    mapped_y: list[int] = []
+    # image[k] is the current match of order[k], and stack[k] iterates over
+    # the untried matches of order[k]
+    image: list[int] = []
     used = np.zeros(n, dtype=bool)
     nodes = 0
 
@@ -470,37 +465,32 @@ def is_isometric(
         # sorted-row signatures discriminate only before any constraints
         # exist; afterwards the mapped-distance conditions are stronger and
         # each accepted completion has every pair checked exactly once
-        if not mapped_x:
+        if not image:
             ok = ~used & (np.abs(sy - sx[x][None, :]).max(axis=1) <= tol)
             return [int(y) for y in np.nonzero(ok)[0]]
         rows = np.nonzero(~used)[0]
         dev = np.abs(
-            DY[np.ix_(rows, mapped_y)] - DX[x, mapped_x][None, :]
+            DY[np.ix_(rows, image)] - DX[x, order[: len(image)]][None, :]
         ).max(axis=1)
         return [int(y) for y in rows[dev <= tol]]
 
-    def extend(depth: int) -> bool:
-        nonlocal nodes
-        if depth == n:
-            return True
-        x = order[depth]
-        for y in candidates(x):
-            nodes += 1
-            if nodes > node_guard:
-                raise GuardExceeded(f"isometry search exceeded {node_guard} nodes")
-            mapped_x.append(x)
-            mapped_y.append(y)
-            used[y] = True
-            if extend(depth + 1):
-                return True
-            used[y] = False
-            mapped_x.pop()
-            mapped_y.pop()
-        return False
-
-    if extend(0):
-        perm = [0] * n
-        for x, y in zip(mapped_x, mapped_y):
-            perm[x] = y
-        return True, tuple(perm)
+    stack = [iter(candidates(order[0]))]
+    while stack:
+        if len(image) == len(stack):  # back at this level: release its match
+            used[image.pop()] = False
+        y = next(stack[-1], None)
+        if y is None:
+            stack.pop()
+            continue
+        nodes += 1
+        if nodes > node_guard:
+            raise GuardExceeded(f"isometry search exceeded {node_guard} nodes")
+        image.append(y)
+        used[y] = True
+        if len(image) == n:
+            perm = [0] * n
+            for x, y in zip(order, image):
+                perm[x] = y
+            return True, tuple(perm)
+        stack.append(iter(candidates(order[len(image)])))
     return False, None

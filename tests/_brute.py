@@ -23,7 +23,10 @@ The exact GH search reference is the float forward-check search the
 pair-bitmask search replaced; it walks the same tree and counts the same
 assignments. The compatibility row reference reads each row of a boolean
 table from its packed bytes, one ``int.from_bytes`` per row, as the search
-did before it read rows as 64-bit words. The graph build reference is the per-edge validation and
+did before it read rows as 64-bit words. The isometry reference is the
+recursive search that ``is_isometric`` ran before it kept its candidates
+on an explicit stack, and the triangle-scan reference finds the first
+failing middle point by a scalar triple loop. The graph build reference is the per-edge validation and
 skeleton loop that made one ``Edge`` per edge, before the graph was stored
 as columns; the skeleton reference is the 3-key ``lexsort`` that kept the
 shortest parallel edge before one integer key was sorted. The simple-loop
@@ -853,3 +856,87 @@ def gh_forward_check(DXa, DYa):
     f_fin, g_fin = best_wit
     pairs = sorted(set((i, f_fin[i]) for i in range(n)) | set((g_fin[j], j) for j in range(m)))
     return best_val / 2.0, tuple(pairs), nodes
+
+
+# --------------------------------------------------------------------------
+# references the finite-space checks in ``ghgraph.oracle`` must match exactly
+
+
+def first_triangle_failure(d):
+    """The first middle point k with d[i][k] + d[k][j] + TOLERANCE < d[i][j]
+    for some i and j, by a scalar triple loop, or None."""
+    n = len(d)
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                if d[i][k] + d[k][j] + gg.TOLERANCE < d[i][j]:
+                    return k
+    return None
+
+
+def is_isometric_recursive(X, Y, tol=gg.TOLERANCE, max_points=4096, node_guard=2_000_000):
+    """``is_isometric`` as it was before its search ran on an explicit
+    stack: one recursive call per matched point."""
+    if X.n != Y.n:
+        return False, None
+    n = X.n
+    if n > max_points:
+        raise gg.GuardExceeded(f"isometry search capped at {max_points} points")
+    if n == 1:
+        return True, (0,)
+    DX, DY = X.d, Y.d
+    if abs(np.sort(DX, axis=None) - np.sort(DY, axis=None)).max() > tol:
+        return False, None
+    sx = np.sort(DX, axis=1)
+    sy = np.sort(DY, axis=1)
+
+    # farthest-first order makes each new point tightly constrained
+    order = [int(np.argmax(DX.sum(axis=1)))]
+    seen = np.zeros(n, dtype=bool)
+    seen[order[0]] = True
+    mindist = DX[order[0]].copy()
+    for _ in range(n - 1):
+        mindist[seen] = -1.0
+        nxt = int(np.argmax(mindist))
+        order.append(nxt)
+        seen[nxt] = True
+        np.minimum(mindist, DX[nxt], out=mindist)
+
+    mapped_x: list[int] = []
+    mapped_y: list[int] = []
+    used = np.zeros(n, dtype=bool)
+    nodes = 0
+
+    def candidates(x: int) -> list[int]:
+        if not mapped_x:
+            ok = ~used & (np.abs(sy - sx[x][None, :]).max(axis=1) <= tol)
+            return [int(y) for y in np.nonzero(ok)[0]]
+        rows = np.nonzero(~used)[0]
+        dev = np.abs(DY[np.ix_(rows, mapped_y)] - DX[x, mapped_x][None, :]).max(axis=1)
+        return [int(y) for y in rows[dev <= tol]]
+
+    def extend(depth: int) -> bool:
+        nonlocal nodes
+        if depth == n:
+            return True
+        x = order[depth]
+        for y in candidates(x):
+            nodes += 1
+            if nodes > node_guard:
+                raise gg.GuardExceeded(f"isometry search exceeded {node_guard} nodes")
+            mapped_x.append(x)
+            mapped_y.append(y)
+            used[y] = True
+            if extend(depth + 1):
+                return True
+            used[y] = False
+            mapped_x.pop()
+            mapped_y.pop()
+        return False
+
+    if extend(0):
+        perm = [0] * n
+        for x, y in zip(mapped_x, mapped_y):
+            perm[x] = y
+        return True, tuple(perm)
+    return False, None

@@ -1,6 +1,9 @@
+import inspect
 import math
 import random
+import sys
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -63,6 +66,44 @@ def test_metric_validation_checks_every_middle_point():
     for n in (200, 300):
         with pytest.raises(gg.InvalidMetric, match="through point 3"):
             gg.FiniteMetricSpace(matrix(n))
+
+
+def _only_through(n, k):
+    # uniform distance 2, except that point k sits at distance 1 from two
+    # others, whose distance 2.5 then breaks the triangle through k alone
+    a, b = [i for i in range(n) if i != k][:2]
+    d = np.full((n, n), 2.0)
+    np.fill_diagonal(d, 0.0)
+    d[k, [a, b]] = d[[a, b], k] = 1.0
+    d[a, b] = d[b, a] = 2.5
+    return d
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    # small integer distances tie often, so some triangles are exactly
+    # tight; the float ones break triangles at scattered middle points
+    n = draw(st.integers(1, 12))
+    iu = np.triu_indices(n, 1)
+    values = st.integers(1, 6).map(float) | st.floats(0.1, 3.0)
+    d = np.zeros((n, n))
+    d[iu] = draw(st.lists(values, min_size=iu[0].size, max_size=iu[0].size))
+    return d + d.T
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=_symmetric_matrices())
+@example(d=_only_through(5, 0))
+@example(d=_only_through(5, 4))
+@example(d=_only_through(12, 11))
+def test_triangle_scan_names_the_first_failing_point(d):
+    k = _brute.first_triangle_failure(d.tolist())
+    if k is None:
+        assert (gg.FiniteMetricSpace(d).d == d).all()
+    else:
+        with pytest.raises(gg.InvalidMetric) as info:
+            gg.FiniteMetricSpace(d)
+        assert str(info.value) == f"triangle inequality fails through point {k}"
 
 
 def test_metric_within_tolerance_is_kept_exact():
@@ -541,6 +582,87 @@ def test_is_isometric_backtracks_on_equal_rows():
     ok, found = gg.is_isometric(shri, moved)
     assert ok
     assert (shri.d == moved.d[np.ix_(found, found)]).all()
+
+
+def _isometry_outcome(search, X, Y, node_guard):
+    try:
+        return search(X, Y, node_guard=node_guard)
+    except gg.GuardExceeded as err:
+        return str(err)
+
+
+@st.composite
+def _isometry_pairs(draw):
+    # points of a theta graph, or k points evenly spaced on a cycle, whose
+    # rows all tie; against a permuted copy, with one distance stretched by
+    # 0.1 % or not
+    k = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        G = gg.theta_graph(3.0, 4.0, 5.0)
+        X = gg.restrict_metric(G, _random_points(G, rng, k))
+    else:
+        X = _cycle(k)
+    perm = rng.permutation(k)
+    d = X.d[np.ix_(perm, perm)]
+    if k > 1 and draw(st.booleans()):
+        i, j = rng.choice(k, size=2, replace=False)
+        d[i, j] = d[j, i] = d[i, j] * 1.001
+    return X, gg.FiniteMetricSpace._trusted(d)
+
+
+_ROOK, _SHRIKHANDE = _srg_16_6_2_2(_rook), _srg_16_6_2_2(_shrikhande)
+_SHUFFLE = np.random.default_rng(3).permutation(16)
+_SHRIKHANDE_MOVED = gg.FiniteMetricSpace(_SHRIKHANDE.d[np.ix_(_SHUFFLE, _SHUFFLE)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=_isometry_pairs(), node_guard=st.integers(1, 50) | st.just(2_000_000))
+@example(pair=(_ROOK, _SHRIKHANDE), node_guard=2_000_000)
+@example(pair=(_ROOK, _SHRIKHANDE), node_guard=50)
+@example(pair=(_SHRIKHANDE, _SHRIKHANDE_MOVED), node_guard=2_000_000)
+def test_is_isometric_matches_recursive_reference(pair, node_guard):
+    # the same answer and permutation, or the same guard message
+    X, Y = pair
+    assert _isometry_outcome(gg.is_isometric, X, Y, node_guard) == _isometry_outcome(
+        _brute.is_isometric_recursive, X, Y, node_guard
+    )
+
+
+@contextmanager
+def _recursion_limit(margin):
+    # a limit `margin` frames above the caller's own depth, so a search
+    # deeper than that would run out of frames
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + margin)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_is_isometric_needs_no_frame_per_point():
+    X = gg.FiniteMetricSpace.from_line(range(300))
+    perm = np.random.default_rng(5).permutation(300)
+    Y = gg.FiniteMetricSpace(X.d[np.ix_(perm, perm)])
+    want = _brute.is_isometric_recursive(X, Y)
+    with _recursion_limit(60):
+        found = gg.is_isometric(X, Y)
+    assert found == want
+    assert (X.d == Y.d[np.ix_(found[1], found[1])]).all()
+
+
+def test_gh_deeper_than_the_recursion_limit_trips_the_guard():
+    # one frame per variable: 102 variables against a limit 60 frames up
+    X = gg.FiniteMetricSpace.from_line([0.0, 1.0])
+    Y = gg.FiniteMetricSpace.from_line(np.linspace(0.0, 1.0, 100))
+    with _recursion_limit(60):
+        with pytest.raises(gg.GuardExceeded, match="search of 102 variables exceeds Python's recursion limit") as info:
+            gg.gh_exact(X, Y)
+    floor, incumbent = info.value.bracket
+    assert f"[{floor:.12g}, {incumbent:.12g}]" in str(info.value)
+    v, _ = gg.gh_exact(X, Y)
+    assert floor <= v <= incumbent
 
 
 def test_restrict_metric_keeps_large_graph_metrics():

@@ -64,6 +64,9 @@ WORD_ROWS = "tests/test_oracle.py::test_word_rows_match_byte_rows"
 LOOPS_REFERENCE = "tests/test_graph.py::test_simple_loops_match_reference"
 DIAMETER_REFERENCE = "tests/test_graph.py::test_graph_diameter_matches_scalar_reference"
 DIAMETER_FIXTURES = "tests/test_graph.py::test_graph_diameter_matches_scalar_reference_on_fixtures"
+ISOMETRY_REFERENCE = "tests/test_oracle.py::test_is_isometric_matches_recursive_reference"
+TRIANGLE_REFERENCE = "tests/test_oracle.py::test_triangle_scan_names_the_first_failing_point"
+GH_TOO_DEEP = "tests/test_oracle.py::test_gh_deeper_than_the_recursion_limit_trips_the_guard"
 
 MUTANTS = [
     # compatibility rows read from 64-bit words
@@ -101,6 +104,15 @@ MUTANTS = [
            "if bound[e] + 1e-11 * (1.0 + bound[e]) < best:", "if bound[e] < 2.0 * best:", (DIAMETER_REFERENCE,)),
     Mutant("diameter-orientation", GRAPH,
            "p, q = np.minimum(e, f), np.maximum(e, f)", "p, q = e, f", (DIAMETER_FIXTURES,)),
+    # the finite-space checks: the isometry search releases a match when it
+    # backs up, the triangle scan reads every middle point, and a search too
+    # deep for Python's stack trips the guard
+    Mutant("isometry-match-kept", ORACLE,
+           "used[image.pop()] = False", "image.pop()", (ISOMETRY_REFERENCE,)),
+    Mutant("triangle-skips-a-point", ORACLE,
+           "for k in range(d.shape[0]):", "for k in range(1, d.shape[0]):", (TRIANGLE_REFERENCE,)),
+    Mutant("gh-recursion-uncaught", ORACLE,
+           "except RecursionError:", "except MemoryError:", (GH_TOO_DEEP,)),
 ]
 
 
